@@ -68,15 +68,21 @@ int main() {
   Scenario clean = make_two_cluster_chain_scenario(params);
 
   // Arms 1-2: corrupted West telemetry overlapping a global solver outage.
-  // The guard directives ride on the scenario; the unguarded arm disarms
-  // them with ignore_scenario_guard (slate_cli --no-guard).
-  Scenario chaos = make_two_cluster_chain_scenario(params);
-  chaos.faults.telemetry_corruption(ClusterId{0}, kCorruptStart,
-                                    kCorruptEnd - kCorruptStart, 8.0);
-  chaos.faults.solver_outage(kSolverStart, kSolverEnd - kSolverStart);
-  chaos.guard.admission.enabled = true;
-  chaos.guard.solver.enabled = true;
-  chaos.guard.rollout.enabled = true;
+  // The guard directives ride on the scenario; the unguarded arm clears
+  // them on its own copy (what slate_cli --no-guard does).
+  auto make_chaos = [&] {
+    Scenario chaos = make_two_cluster_chain_scenario(params);
+    chaos.faults.telemetry_corruption(ClusterId{0}, kCorruptStart,
+                                      kCorruptEnd - kCorruptStart, 8.0);
+    chaos.faults.solver_outage(kSolverStart, kSolverEnd - kSolverStart);
+    chaos.guard.admission.enabled = true;
+    chaos.guard.solver.enabled = true;
+    chaos.guard.rollout.enabled = true;
+    return chaos;
+  };
+  Scenario guarded = make_chaos();
+  Scenario unguarded = make_chaos();
+  unguarded.guard = GuardOptions{};
 
   RunConfig base;
   base.policy = PolicyKind::kSlate;
@@ -91,10 +97,8 @@ int main() {
 
   std::vector<GridJob> jobs;
   jobs.push_back({&clean, base, "fault-free"});
-  RunConfig unguarded = base;
-  unguarded.ignore_scenario_guard = true;
-  jobs.push_back({&chaos, unguarded, "chaos-unguarded"});
-  jobs.push_back({&chaos, base, "chaos-guarded"});
+  jobs.push_back({&unguarded, base, "chaos-unguarded"});
+  jobs.push_back({&guarded, base, "chaos-guarded"});
   std::vector<ExperimentResult> results = bench::run_grid(jobs);
 
   const char* labels[] = {"fault-free", "chaos-unguarded", "chaos-guarded"};

@@ -9,7 +9,6 @@
 //   exact_warm   LP warm-started from the previous period's cache, on a
 //                2% demand perturbation (the steady-state memo is deliberately
 //                defeated so the basis path is what gets timed)
-//   ripup        negotiated-congestion rip-up-and-reroute heuristic
 //   fast         marginal-cost descent heuristic
 //
 // Each arm also reports its optimality gap against the exact solve on the
@@ -30,7 +29,6 @@
 #include "core/latency_model.h"
 #include "core/optimizer.h"
 #include "core/plan_eval.h"
-#include "core/ripup_optimizer.h"
 #include "topogen/topogen.h"
 
 namespace slate {
@@ -150,8 +148,6 @@ int main(int argc, char** argv) {
                                *scenario.topology);
     const FastRouteOptimizer fast(*scenario.app, *scenario.deployment,
                                   *scenario.topology);
-    const RipupRouteOptimizer ripup(*scenario.app, *scenario.deployment,
-                                    *scenario.topology);
 
     auto plan_cost = [&](const OptimizerResult& r,
                          const FlatMatrix<double>& d) {
@@ -184,10 +180,6 @@ int main(int argc, char** argv) {
         },
         &warm_result);
 
-    OptimizerResult ripup_result;
-    const double ripup_s =
-        time_arm([&](int) { return ripup.optimize(model, demand); },
-                 &ripup_result);
     OptimizerResult fast_result;
     const double fast_s = time_arm(
         [&](int) { return fast.optimize(model, demand); }, &fast_result);
@@ -197,8 +189,6 @@ int main(int argc, char** argv) {
         {case_name, "exact_warm", warm_s, 1.0 / warm_s,
          gap_pct(plan_cost(warm_result, perturbed(0)), exact_perturbed_cost),
          warm_result.warm_started},
-        {case_name, "ripup", ripup_s, 1.0 / ripup_s,
-         gap_pct(plan_cost(ripup_result, demand), exact_cost), false},
         {case_name, "fast", fast_s, 1.0 / fast_s,
          gap_pct(plan_cost(fast_result, demand), exact_cost), false},
     };

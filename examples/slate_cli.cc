@@ -37,8 +37,8 @@
 //   --contingency          SLATE: arm N-1 headroom planning (pad the solve
 //                          until every single-cluster failure reroutes
 //                          within the utilization cap; docs/resilience.md)
-//   --contingency-cap=<u>  post-failure utilization cap (default 0.95;
-//                          implies --contingency)
+//   --contingency-cap=<u>  post-failure utilization cap in (0, 1] (default
+//                          0.95; implies --contingency)
 //   --no-contingency       ignore the scenario's contingency directive
 //   --no-drains            ignore the scenario's drain directives (and
 //                          campaign-expanded drains)
@@ -53,10 +53,19 @@
 //   --jobs=<n>             worker threads for replications (default: all
 //                          hardware threads; results are independent of n)
 //
+// Each --no-<x> clears that layer on the loaded scenario before the CLI
+// overlays (--admit, --server-price) apply, so `--no-admission --admit=...`
+// runs with exactly the given caps. A malformed or out-of-range value exits
+// with status 2 and "bad value for --<flag>".
+//
 // Sample scenarios live in examples/scenarios/.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -78,6 +87,41 @@ bool parse_flag(const char* arg, const char* name, std::string* value) {
   return false;
 }
 
+// Whole-string numeric parses: trailing junk, a sign on a count, or an
+// unparsable value throws a std::logic_error, reported by main per flag.
+double to_double(const std::string& s) {
+  std::size_t used = 0;
+  const double v = std::stod(s, &used);
+  if (used != s.size()) throw std::invalid_argument(s);
+  return v;
+}
+
+std::uint64_t to_count(const std::string& s) {
+  std::size_t used = 0;
+  const std::uint64_t v = std::stoull(s, &used);
+  if (used != s.size() || s.find('-') != std::string::npos) {
+    throw std::invalid_argument(s);
+  }
+  return v;
+}
+
+// The --no-<x> flags and what each clears on the loaded scenario.
+struct Disarm {
+  const char* flag;
+  void (*clear)(Scenario&);
+};
+constexpr Disarm kDisarms[] = {
+    {"--no-faults", [](Scenario& s) { s.faults.clear(); }},
+    {"--no-overload", [](Scenario& s) { s.overload = OverloadPolicy{}; }},
+    {"--no-guard", [](Scenario& s) { s.guard = GuardOptions{}; }},
+    {"--no-forecast", [](Scenario& s) { s.forecast = ForecastOptions{}; }},
+    {"--no-admission", [](Scenario& s) { s.admission = AdmissionPolicy{}; }},
+    {"--no-contingency",
+     [](Scenario& s) { s.contingency = ContingencyOptions{}; }},
+    {"--no-drains", [](Scenario& s) { s.drains.clear(); }},
+    {"--no-bilevel", [](Scenario& s) { s.bilevel = BilevelOptions{}; }},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -93,8 +137,7 @@ int main(int argc, char** argv) {
   config.duration = 60.0;
   config.warmup = 15.0;
   bool print_cdf = false;
-  bool drop_faults = false;
-  bool drop_overload = false;
+  std::vector<void (*)(Scenario&)> disarms;
   double server_price = -1.0;  // < 0 = keep the scenario's prices
   // --admit specs, resolved against class names after the scenario loads.
   std::vector<std::string> admit_specs;
@@ -102,8 +145,14 @@ int main(int argc, char** argv) {
   std::size_t seeds = 1;
   std::size_t jobs = 0;  // 0 = hardware concurrency
   std::string value;
-  for (int i = 2; i < argc; ++i) {
-    if (parse_flag(argv[i], "--policy", &value)) {
+  // The loop body is a try block: a value parse that throws names its flag.
+  for (int i = 2; i < argc; ++i) try {
+    const auto* disarm = std::find_if(
+        std::begin(kDisarms), std::end(kDisarms),
+        [&](const Disarm& d) { return std::strcmp(argv[i], d.flag) == 0; });
+    if (disarm != std::end(kDisarms)) {
+      disarms.push_back(disarm->clear);
+    } else if (parse_flag(argv[i], "--policy", &value)) {
       if (value == "local") {
         config.policy = PolicyKind::kLocalOnly;
       } else if (value == "rr") {
@@ -121,27 +170,23 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (parse_flag(argv[i], "--duration", &value)) {
-      config.duration = std::stod(value);
+      config.duration = to_double(value);
     } else if (parse_flag(argv[i], "--warmup", &value)) {
-      config.warmup = std::stod(value);
+      config.warmup = to_double(value);
     } else if (parse_flag(argv[i], "--seed", &value)) {
-      config.seed = std::stoull(value);
+      config.seed = to_count(value);
     } else if (parse_flag(argv[i], "--cost-weight", &value)) {
-      config.slate.optimizer.cost_weight = std::stod(value);
+      config.slate.optimizer.cost_weight = to_double(value);
     } else if (std::strcmp(argv[i], "--fast") == 0) {
       config.slate.use_fast_optimizer = true;
     } else if (std::strcmp(argv[i], "--autoscale") == 0) {
       config.autoscaler_enabled = true;
     } else if (parse_flag(argv[i], "--timeout", &value)) {
       config.failure.enabled = true;
-      config.failure.call_timeout = std::stod(value);
+      config.failure.call_timeout = to_double(value);
     } else if (parse_flag(argv[i], "--retries", &value)) {
       config.failure.enabled = true;
-      config.failure.max_retries = std::stoull(value);
-    } else if (std::strcmp(argv[i], "--no-faults") == 0) {
-      drop_faults = true;
-    } else if (std::strcmp(argv[i], "--no-guard") == 0) {
-      config.ignore_scenario_guard = true;
+      config.failure.max_retries = to_count(value);
     } else if (parse_flag(argv[i], "--forecast", &value)) {
       if (!forecast_kind_from_string(value, &config.slate.forecast.kind)) {
         std::fprintf(stderr,
@@ -151,52 +196,49 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (parse_flag(argv[i], "--forecast-season", &value)) {
-      config.slate.forecast.season = std::stoull(value);
-    } else if (std::strcmp(argv[i], "--no-forecast") == 0) {
-      config.ignore_scenario_forecast = true;
+      config.slate.forecast.season = to_count(value);
     } else if (parse_flag(argv[i], "--dump-demand", &value)) {
       config.record_demand_trace = true;
       dump_demand_path = value;
     } else if (parse_flag(argv[i], "--queue-limit", &value)) {
-      config.overload.queue.max_queue = std::stoull(value);
+      config.overload.queue.max_queue = to_count(value);
     } else if (parse_flag(argv[i], "--deadline", &value)) {
       config.overload.deadline.enabled = true;
-      config.overload.deadline.default_deadline = std::stod(value);
-    } else if (std::strcmp(argv[i], "--no-overload") == 0) {
-      drop_overload = true;
+      config.overload.deadline.default_deadline = to_double(value);
     } else if (parse_flag(argv[i], "--admit", &value)) {
       admit_specs.push_back(value);
-    } else if (std::strcmp(argv[i], "--no-admission") == 0) {
-      config.ignore_scenario_admission = true;
     } else if (std::strcmp(argv[i], "--contingency") == 0) {
       config.slate.contingency.enabled = true;
     } else if (parse_flag(argv[i], "--contingency-cap", &value)) {
       config.slate.contingency.enabled = true;
-      config.slate.contingency.max_post_failure_utilization = std::stod(value);
-    } else if (std::strcmp(argv[i], "--no-contingency") == 0) {
-      config.ignore_scenario_contingency = true;
-    } else if (std::strcmp(argv[i], "--no-drains") == 0) {
-      config.ignore_scenario_drains = true;
+      const double cap = to_double(value);
+      // The loader's `contingency cap=` range.
+      if (!(cap > 0.0 && cap <= 1.0)) throw std::out_of_range(value);
+      config.slate.contingency.max_post_failure_utilization = cap;
     } else if (std::strcmp(argv[i], "--bilevel") == 0) {
       config.bilevel.enabled = true;
       config.autoscaler_enabled = true;
-    } else if (std::strcmp(argv[i], "--no-bilevel") == 0) {
-      config.ignore_scenario_bilevel = true;
     } else if (parse_flag(argv[i], "--server-price", &value)) {
-      server_price = std::stod(value);
+      server_price = to_double(value);
     } else if (std::strcmp(argv[i], "--cdf") == 0) {
       print_cdf = true;
     } else if (parse_flag(argv[i], "--seeds", &value)) {
-      seeds = std::stoull(value);
+      seeds = to_count(value);
       if (seeds == 0) seeds = 1;
     } else if (parse_flag(argv[i], "--jobs", &value)) {
-      jobs = std::stoull(value);
+      jobs = to_count(value);
     } else if (parse_flag(argv[i], "--shards", &value)) {
-      config.shards = std::stoull(value);
+      config.shards = to_count(value);
     } else {
       std::fprintf(stderr, "unknown option '%s'\n", argv[i]);
       return 2;
     }
+  } catch (const std::logic_error&) {
+    // std::invalid_argument / std::out_of_range from a value parse.
+    const std::string arg = argv[i];
+    std::fprintf(stderr, "bad value for %s\n",
+                 arg.substr(0, arg.find('=')).c_str());
+    return 2;
   }
 
   Scenario scenario;
@@ -211,8 +253,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: %s\n", argv[1], e.what());
     return 1;
   }
-  if (drop_faults) scenario.faults.clear();
-  if (drop_overload) scenario.overload = OverloadPolicy{};
+  for (const auto clear : disarms) clear(scenario);
   if (server_price >= 0.0) {
     scenario.topology->set_uniform_server_price(server_price);
   }
@@ -439,13 +480,12 @@ int main(int argc, char** argv) {
     std::printf(
         "  solver   %llu solves, mean %.2f ms / max %.2f ms wall\n"
         "  solver   arms: %llu exact-warm / %llu exact-cold / %llu fast / "
-        "%llu ripup / %llu split / %llu hold\n",
+        "%llu split / %llu hold\n",
         static_cast<unsigned long long>(r.solver_solves),
         r.mean_solve_seconds() * 1e3, r.solver_max_seconds * 1e3,
         static_cast<unsigned long long>(r.solver_exact_warm),
         static_cast<unsigned long long>(r.solver_exact_cold),
         static_cast<unsigned long long>(r.solver_arm_fast),
-        static_cast<unsigned long long>(r.solver_arm_ripup),
         static_cast<unsigned long long>(r.solver_arm_split),
         static_cast<unsigned long long>(r.solver_arm_hold));
   }

@@ -26,7 +26,6 @@ GlobalController::GlobalController(const Application& app,
       fitter_(options.fitter),
       optimizer_(app, deployment, topology, options.optimizer),
       fast_optimizer_(app, deployment, topology, options.fast_optimizer),
-      ripup_optimizer_(app, deployment, topology, options.ripup),
       store_(app.service_count(), app.class_count(), topology.cluster_count(),
              options.sample_capacity),
       demand_(app.class_count(), topology.cluster_count(), 0.0),
@@ -517,9 +516,8 @@ std::shared_ptr<const RoutingRuleSet> GlobalController::on_reports(
     const bool have_last_good =
         current_rules_ != nullptr && current_rules_->size() > 0;
     SolverGuard::Outcome outcome = solver_guard_->solve(
-        optimizer_, fast_optimizer_, ripup_optimizer_,
-        options_.use_fast_optimizer, model_, solve_demand, live,
-        &optimizer_cache_, solver_chaos_, have_last_good);
+        optimizer_, fast_optimizer_, options_.use_fast_optimizer, model_,
+        solve_demand, live, &optimizer_cache_, solver_chaos_, have_last_good);
     ++optimizations_;
     last_result_ = std::move(outcome.result);
     if (outcome.rung == SolverRung::kHoldLastGood || !last_result_.ok()) {
@@ -536,9 +534,6 @@ std::shared_ptr<const RoutingRuleSet> GlobalController::on_reports(
       case SolverRung::kFastHeuristic:
         plan_from_primary = true;
         record_solve(&SolveTelemetry::fast);
-        break;
-      case SolverRung::kRipup:
-        record_solve(&SolveTelemetry::ripup);
         break;
       case SolverRung::kCapacitySplit:
         record_solve(&SolveTelemetry::split);

@@ -21,7 +21,6 @@
 #include "contingency/contingency.h"
 #include "contingency/headroom_planner.h"
 #include "core/fast_optimizer.h"
-#include "core/ripup_optimizer.h"
 #include "forecast/demand_forecaster.h"
 #include "core/model_fitter.h"
 #include "core/optimizer.h"
@@ -55,8 +54,6 @@ struct GlobalControllerOptions {
   // the LP's plan quality — see bench/ablation_fast_optimizer).
   bool use_fast_optimizer = false;
   FastOptimizerOptions fast_optimizer;
-  // The negotiated-congestion rip-up arm (solver guard rung 2).
-  RipupOptions ripup;
   FitterOptions fitter;
   GuardrailOptions guardrails;
   // Seed the latency model from the application spec ("offline profile");
@@ -132,7 +129,6 @@ struct SolveTelemetry {
   std::uint64_t exact_cold = 0;    // exact LP, cold simplex
   std::uint64_t exact_warm = 0;    // exact LP, warm-started (memo or basis)
   std::uint64_t fast = 0;          // marginal-cost descent
-  std::uint64_t ripup = 0;         // negotiated-congestion rip-up
   std::uint64_t split = 0;         // capacity-proportional split
   std::uint64_t hold = 0;          // no plan: held last-known-good
 };
@@ -334,7 +330,6 @@ class GlobalController {
   ModelFitter fitter_;
   RouteOptimizer optimizer_;
   FastRouteOptimizer fast_optimizer_;
-  RipupRouteOptimizer ripup_optimizer_;
   OptimizerCache optimizer_cache_;
   SolveTelemetry solve_telemetry_;
   SampleStore store_;

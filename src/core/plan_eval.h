@@ -1,7 +1,7 @@
 // Exact plan-cost evaluation for an arbitrary routing rule set.
 //
-// Every optimizer arm (exact LP, rip-up heuristic, marginal-cost descent,
-// capacity split) emits the same artifact — a RoutingRuleSet — but each
+// Every optimizer arm (exact LP, marginal-cost descent, capacity split)
+// emits the same artifact — a RoutingRuleSet — but each
 // reports its own internal objective, which may use approximations (PWL
 // tangents, stale utilizations). This evaluator scores any rule set with the
 // one true model: a forward pass of the demand through the rules, then the

@@ -12,7 +12,6 @@ const char* to_string(SolverRung rung) noexcept {
   switch (rung) {
     case SolverRung::kPrimary: return "primary";
     case SolverRung::kFastHeuristic: return "fast-heuristic";
-    case SolverRung::kRipup: return "ripup";
     case SolverRung::kCapacitySplit: return "capacity-split";
     case SolverRung::kHoldLastGood: return "hold-last-good";
   }
@@ -57,8 +56,8 @@ bool SolverGuard::accept(const OptimizerResult& result,
 
 SolverGuard::Outcome SolverGuard::solve(
     const RouteOptimizer& primary, const FastRouteOptimizer& fast,
-    const RipupRouteOptimizer& ripup, bool primary_is_fast,
-    const LatencyModel& model, const FlatMatrix<double>& demand,
+    bool primary_is_fast, const LatencyModel& model,
+    const FlatMatrix<double>& demand,
     const std::vector<unsigned>* live_servers, OptimizerCache* cache,
     bool solver_down, bool have_last_good) {
   using Clock = std::chrono::steady_clock;
@@ -115,11 +114,6 @@ SolverGuard::Outcome SolverGuard::solve(
               result)) {
       consecutive_degraded_ = 0;
       return settle(std::move(result), SolverRung::kFastHeuristic);
-    }
-    if (timed([&] { return ripup.optimize(model, demand, live_servers); },
-              result)) {
-      consecutive_degraded_ = 0;
-      return settle(std::move(result), SolverRung::kRipup);
     }
   }
 

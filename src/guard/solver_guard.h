@@ -6,20 +6,17 @@
 //
 //   rung 0  primary      the configured optimizer (exact LP/MILP or the
 //                        fast heuristic)
-//   rung 1  fast         the marginal-cost descent heuristic
-//   rung 2  ripup        negotiated-congestion rip-up-and-reroute over the
-//                        call graph — cheaper than descent per unit of
-//                        plan quality on planet-scale instances, selected
-//                        when the exact solve blows its wall budget
-//   rung 3  split        capacity-proportional weights with local bias,
+//   rung 1  fast         the marginal-cost descent heuristic, also selected
+//                        when the exact solve blows an enforced wall budget
+//   rung 2  split        capacity-proportional weights with local bias,
 //                        computed directly from deployment + live servers
 //                        (a Waterfall-equivalent plan: demand-blind but
 //                        always feasible)
-//   rung 4  hold         no rules — the data plane keeps last-known-good
+//   rung 3  hold         no rules — the data plane keeps last-known-good
 //
 // Descent is deterministic: a rung is skipped when its solver reports
 // infeasibility/failure or when an injected solver outage marks the
-// model-driven rungs (0-2) down. Wall-clock budgets are measured and
+// model-driven rungs (0-1) down. Wall-clock budgets are measured and
 // reported always, but only enforce descent when opted in — host timing
 // must not change the plan in reproducible runs.
 #pragma once
@@ -30,7 +27,6 @@
 
 #include "core/fast_optimizer.h"
 #include "core/optimizer.h"
-#include "core/ripup_optimizer.h"
 #include "guard/guard_options.h"
 
 namespace slate {
@@ -38,9 +34,8 @@ namespace slate {
 enum class SolverRung : std::uint8_t {
   kPrimary = 0,
   kFastHeuristic = 1,
-  kRipup = 2,
-  kCapacitySplit = 3,
-  kHoldLastGood = 4,
+  kCapacitySplit = 2,
+  kHoldLastGood = 3,
 };
 
 const char* to_string(SolverRung rung) noexcept;
@@ -55,11 +50,11 @@ class SolverGuard {
     SolverRung rung = SolverRung::kHoldLastGood;
   };
 
-  // Runs the ladder. `primary` / `fast` / `ripup` are the controller's
-  // optimizers (when `primary_is_fast`, rung 0 already is the heuristic and
-  // rung 1 collapses into it). `cache`, if non-null, carries the primary
+  // Runs the ladder. `primary` / `fast` are the controller's optimizers
+  // (when `primary_is_fast`, rung 0 already is the heuristic and rung 1
+  // collapses into it). `cache`, if non-null, carries the primary
   // optimizer's warm-start state across periods (rung 0 only). `solver_down`
-  // marks the model-driven rungs 0-2 unavailable (an injected outage /
+  // marks the model-driven rungs 0-1 unavailable (an injected outage /
   // forced timeout). `have_last_good` says the caller
   // holds an actuated plan: for the first `hold_fresh_periods` consecutive
   // degraded periods the ladder then settles on hold instead of the
@@ -68,8 +63,8 @@ class SolverGuard {
   // split (live capacity may have moved since the plan was cut). The
   // returned result's rules are null only on the hold rung.
   Outcome solve(const RouteOptimizer& primary, const FastRouteOptimizer& fast,
-                const RipupRouteOptimizer& ripup, bool primary_is_fast,
-                const LatencyModel& model, const FlatMatrix<double>& demand,
+                bool primary_is_fast, const LatencyModel& model,
+                const FlatMatrix<double>& demand,
                 const std::vector<unsigned>* live_servers,
                 OptimizerCache* cache, bool solver_down, bool have_last_good);
 
@@ -78,8 +73,7 @@ class SolverGuard {
   }
   // Solves settled below the primary rung.
   [[nodiscard]] std::uint64_t fallbacks() const noexcept {
-    return rung_counts_[1] + rung_counts_[2] + rung_counts_[3] +
-           rung_counts_[4];
+    return rung_counts_[1] + rung_counts_[2] + rung_counts_[3];
   }
   [[nodiscard]] SolverRung last_rung() const noexcept { return last_rung_; }
   [[nodiscard]] double last_solve_seconds() const noexcept {
@@ -108,8 +102,8 @@ class SolverGuard {
   const Topology* topology_;
   SolverGuardOptions options_;
 
-  std::uint64_t rung_counts_[5] = {0, 0, 0, 0, 0};
-  // Consecutive periods the model-driven rungs (0-2) have been unusable.
+  std::uint64_t rung_counts_[4] = {0, 0, 0, 0};
+  // Consecutive periods the model-driven rungs (0-1) have been unusable.
   std::size_t consecutive_degraded_ = 0;
   SolverRung last_rung_ = SolverRung::kPrimary;
   double last_solve_seconds_ = 0.0;

@@ -145,9 +145,6 @@ struct RunConfig {
   // kSlate and autoscaler_enabled; silently inert otherwise. Enabled here
   // overrides the scenario's wholesale.
   BilevelOptions bilevel;
-  // Run the scenario with its `bilevel` directive disarmed (slate_cli
-  // --no-bilevel). RunConfig::bilevel still applies when enabled.
-  bool ignore_scenario_bilevel = false;
 
   // Scheduled capacity changes (applied in addition to autoscaling).
   std::vector<CapacityEvent> capacity_events;
@@ -168,28 +165,10 @@ struct RunConfig {
   // (not just the measurement window) into ExperimentResult::*_series —
   // the goodput-over-time signal fault experiments are judged by.
   double timeseries_bucket = 0.0;
-  // Run the scenario with its `guard` directives disarmed (slate_cli
-  // --no-guard): only RunConfig::slate.guard gates apply. The unguarded
-  // arm of control-plane chaos comparisons.
-  bool ignore_scenario_guard = false;
-  // Run the scenario with its `forecast` directive disarmed (slate_cli
-  // --no-forecast): the reactive arm of predictive comparisons. A kind
-  // armed in RunConfig::slate.forecast still applies.
-  bool ignore_scenario_forecast = false;
   // Front-door admission control (token buckets at request birth). An
   // enabled policy here overrides the scenario's wholesale; see
   // docs/overload.md.
   AdmissionPolicy admission;
-  // Run the scenario with its `admission` directives disarmed (slate_cli
-  // --no-admission). RunConfig::admission still applies when enabled.
-  bool ignore_scenario_admission = false;
-  // Run the scenario with its `contingency` directive disarmed (slate_cli
-  // --no-contingency): the reactive-only arm of failover comparisons.
-  // RunConfig::slate.contingency still applies when enabled.
-  bool ignore_scenario_contingency = false;
-  // Run the scenario with its `drain` directives (and campaign-expanded
-  // drains) disarmed (slate_cli --no-drains). RunConfig::drains still apply.
-  bool ignore_scenario_drains = false;
   // Coordinated drains scheduled by the harness (merged with the
   // scenario's). See docs/resilience.md.
   std::vector<DrainSpec> drains;
@@ -338,7 +317,6 @@ struct ExperimentResult {
   std::uint64_t solver_exact_cold = 0;   // exact LP, cold simplex
   std::uint64_t solver_exact_warm = 0;   // exact LP, warm-started (memo/basis)
   std::uint64_t solver_arm_fast = 0;     // marginal-cost descent arm
-  std::uint64_t solver_arm_ripup = 0;    // negotiated-congestion rip-up arm
   std::uint64_t solver_arm_split = 0;    // capacity-split arm
   std::uint64_t solver_arm_hold = 0;     // periods that produced no plan
   [[nodiscard]] double mean_solve_seconds() const noexcept {

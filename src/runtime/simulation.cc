@@ -109,10 +109,9 @@ Simulation::Simulation(const Scenario& scenario, const RunConfig& config)
 
   // Effective control-plane guard: the scenario ships one, each gate the
   // config enables overrides its counterpart (same merge the overload
-  // policy uses). --no-guard disarms the scenario's gates entirely.
+  // policy uses).
   {
-    GuardOptions effective =
-        config_.ignore_scenario_guard ? GuardOptions{} : scenario_.guard;
+    GuardOptions effective = scenario_.guard;
     if (config_.slate.guard.admission.enabled) {
       effective.admission = config_.slate.guard.admission;
     }
@@ -127,14 +126,11 @@ Simulation::Simulation(const Scenario& scenario, const RunConfig& config)
 
   // Effective front-door admission policy: the scenario ships one
   // (`admission` directives), a config-enabled policy overrides it
-  // wholesale, and --no-admission disarms the scenario's. The controller
-  // exists only when armed — a disabled policy leaves the data path
-  // bit-identical to a build without the subsystem.
+  // wholesale. The controller exists only when armed — a disabled policy
+  // leaves the data path bit-identical to a build without the subsystem.
   {
-    AdmissionPolicy effective = config_.ignore_scenario_admission
-                                    ? AdmissionPolicy{}
-                                    : scenario_.admission;
-    if (config_.admission.enabled) effective = config_.admission;
+    AdmissionPolicy effective =
+        config_.admission.enabled ? config_.admission : scenario_.admission;
     effective.validate(K);
     admission_policy_ = effective;
     if (admission_policy_.enabled) {
@@ -144,30 +140,22 @@ Simulation::Simulation(const Scenario& scenario, const RunConfig& config)
   }
 
   // Effective N-1 contingency options: the scenario ships one
-  // (`contingency` directive), config-enabled options override it
-  // wholesale, and --no-contingency disarms the scenario's. The planner
-  // exists only when enabled — a disabled run solves exactly as before.
-  {
-    ContingencyOptions effective = config_.ignore_scenario_contingency
-                                       ? ContingencyOptions{}
-                                       : scenario_.contingency;
-    if (config_.slate.contingency.enabled) {
-      effective = config_.slate.contingency;
-    }
-    config_.slate.contingency = effective;
+  // (`contingency` directive) and config-enabled options override it
+  // wholesale. The planner exists only when enabled — a disabled run solves
+  // exactly as before.
+  if (!config_.slate.contingency.enabled) {
+    config_.slate.contingency = scenario_.contingency;
   }
 
   // Effective bi-level co-design options: the scenario ships one (`bilevel`
-  // directive), config-enabled options override it wholesale, and
-  // --no-bilevel disarms the scenario's. The loop needs both halves it
-  // couples — the SLATE control plane and the autoscalers — so it silently
-  // disarms without them (a scenario shipping `bilevel` must stay runnable
-  // under baseline policies and fixed capacity).
+  // directive) and config-enabled options override it wholesale. The loop
+  // needs both halves it couples — the SLATE control plane and the
+  // autoscalers — so it silently disarms without them (a scenario shipping
+  // `bilevel` must stay runnable under baseline policies and fixed
+  // capacity).
   {
-    BilevelOptions effective = config_.ignore_scenario_bilevel
-                                   ? BilevelOptions{}
-                                   : scenario_.bilevel;
-    if (config_.bilevel.enabled) effective = config_.bilevel;
+    BilevelOptions effective =
+        config_.bilevel.enabled ? config_.bilevel : scenario_.bilevel;
     if (effective.enabled && (config_.policy != PolicyKind::kSlate ||
                               !config_.autoscaler_enabled)) {
       effective.enabled = false;
@@ -184,10 +172,10 @@ Simulation::Simulation(const Scenario& scenario, const RunConfig& config)
     }
   }
 
-  // Effective drain schedule: the scenario's (unless --no-drains) plus the
-  // config's, mirroring fault-plan merging. drain_keep_ is the data plane's
-  // per-cluster view; it moves only at global control barriers.
-  if (!config_.ignore_scenario_drains) drains_ = scenario_.drains;
+  // Effective drain schedule: the scenario's plus the config's, mirroring
+  // fault-plan merging. drain_keep_ is the data plane's per-cluster view; it
+  // moves only at global control barriers.
+  drains_ = scenario_.drains;
   drains_.insert(drains_.end(), config_.drains.begin(), config_.drains.end());
   drain_keep_.assign(cluster_count_, 1.0);
   for (const DrainSpec& d : drains_) {
@@ -197,16 +185,14 @@ Simulation::Simulation(const Scenario& scenario, const RunConfig& config)
   }
 
   // Effective forecast mode: the scenario ships one (forecast directive),
-  // a config-armed kind overrides it wholesale, and --no-forecast disarms
-  // the scenario's. The harness owns the prediction horizon (one control
-  // period) and, for the oracle, the schedule the future is read from.
+  // and a config-armed kind overrides it wholesale. The harness owns the
+  // prediction horizon (one control period) and, for the oracle, the
+  // schedule the future is read from.
   {
-    ForecastOptions effective = config_.ignore_scenario_forecast
-                                    ? ForecastOptions{}
-                                    : scenario_.forecast;
-    if (config_.slate.forecast.kind != ForecastKind::kNone) {
-      effective = config_.slate.forecast;
-    }
+    ForecastOptions effective =
+        config_.slate.forecast.kind != ForecastKind::kNone
+            ? config_.slate.forecast
+            : scenario_.forecast;
     effective.horizon = config_.control_period;
     effective.oracle_schedule = effective.kind == ForecastKind::kOracle
                                     ? &scenario_.demand
@@ -1660,7 +1646,6 @@ ExperimentResult Simulation::run() {
     result_.solver_exact_cold = st.exact_cold;
     result_.solver_exact_warm = st.exact_warm;
     result_.solver_arm_fast = st.fast;
-    result_.solver_arm_ripup = st.ripup;
     result_.solver_arm_split = st.split;
     result_.solver_arm_hold = st.hold;
     if (const DemandForecaster* f = global_->forecaster()) {

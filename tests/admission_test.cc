@@ -385,15 +385,7 @@ TEST(AdmissionPins, DisabledAdmissionIsBitIdenticalToBaseline) {
   disabled.admission.enabled = false;
   expect_identical(plain, run_experiment(scenario, disabled));
 
-  // A scenario-armed policy disarmed with ignore_scenario_admission
-  // (the CLI's --no-admission) is equally inert.
-  Scenario armed = burst_scenario();
-  armed.admission = burst_config(true).admission;
-  RunConfig ignore = base;
-  ignore.ignore_scenario_admission = true;
-  expect_identical(plain, run_experiment(armed, ignore));
-
-  // Zero admission activity in all three runs.
+  // Zero admission activity.
   EXPECT_EQ(plain.admission_admitted, 0u);
   EXPECT_EQ(plain.admission_rejected, 0u);
   EXPECT_EQ(plain.admission_adapt_rounds, 0u);

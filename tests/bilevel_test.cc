@@ -157,9 +157,9 @@ TEST(Bilevel, InertWithoutPrerequisites) {
   EXPECT_EQ(r2.bilevel_capacity_overrides, 0u);
 }
 
-// --ignore-scenario-bilevel (the --no-bilevel CLI flag) must make a
-// scenario-armed run identical to one whose scenario never armed it.
-TEST(Bilevel, IgnoreScenarioFlagDisarms) {
+// A scenario's `bilevel` directive arms the loop without any RunConfig
+// override.
+TEST(Bilevel, ScenarioDirectiveEngages) {
   RunConfig config;
   config.policy = PolicyKind::kSlate;
   config.duration = 20.0;
@@ -169,17 +169,6 @@ TEST(Bilevel, IgnoreScenarioFlagDisarms) {
 
   Scenario armed = make_two_cluster_chain_scenario();
   armed.bilevel.enabled = true;
-  RunConfig ignore = config;
-  ignore.ignore_scenario_bilevel = true;
-  const ExperimentResult suppressed = run_experiment(armed, ignore);
-  const ExperimentResult plain =
-      run_experiment(make_two_cluster_chain_scenario(), config);
-  EXPECT_EQ(suppressed.bilevel_plans_pushed, 0u);
-  EXPECT_EQ(suppressed.completed, plain.completed);
-  EXPECT_DOUBLE_EQ(suppressed.p99(), plain.p99());
-  EXPECT_DOUBLE_EQ(suppressed.server_seconds, plain.server_seconds);
-
-  // And without the flag the scenario's directive actually engages.
   const ExperimentResult engaged = run_experiment(armed, config);
   EXPECT_GT(engaged.bilevel_plans_pushed, 0u);
 }

@@ -438,7 +438,7 @@ TEST(ContingencyHeadline, CoordinatedDrainBeatsAbruptRemovalTenfold) {
 // nothing: two identical runs of the plain world agree bit-for-bit with a
 // run where the subsystem is explicitly disarmed.
 TEST(ContingencyHeadline, DisabledSubsystemIsInert) {
-  Scenario with_directives = load_scenario_from_string(R"(
+  const char* with_directives_text = R"(
 cluster a
 cluster b
 rtt a b 20ms
@@ -450,7 +450,9 @@ demand k a 300
 demand k b 100
 contingency cap=0.9
 drain b @3s over=4s
-)");
+)";
+  const Scenario with_directives =
+      load_scenario_from_string(with_directives_text);
   Scenario plain = load_scenario_from_string(R"(
 cluster a
 cluster b
@@ -469,12 +471,14 @@ demand k b 100
   config.warmup = 2.0;
   config.seed = 5;
 
-  RunConfig disarmed = config;
-  disarmed.ignore_scenario_contingency = true;
-  disarmed.ignore_scenario_drains = true;
+  // Disarmed the way slate_cli --no-contingency --no-drains does it: the
+  // fields cleared on the loaded scenario.
+  Scenario disarmed = load_scenario_from_string(with_directives_text);
+  disarmed.contingency = ContingencyOptions{};
+  disarmed.drains.clear();
 
   const ExperimentResult a = run_experiment(plain, config);
-  const ExperimentResult b = run_experiment(with_directives, disarmed);
+  const ExperimentResult b = run_experiment(disarmed, config);
   EXPECT_EQ(a.generated, b.generated);
   EXPECT_EQ(a.completed, b.completed);
   EXPECT_EQ(a.sim_events, b.sim_events);

@@ -356,20 +356,6 @@ TEST(ForecastGauntlet, UnconfidentForecasterIsByteIdenticalToReactive) {
   EXPECT_EQ(gated.mean_latency(), reactive.mean_latency());  // bit-exact
 }
 
-TEST(ForecastGauntlet, NoForecastFlagDisarmsScenarioDirective) {
-  // slate_cli --no-forecast: the scenario ships `forecast holtwinters`, the
-  // flag must strip it so the reactive arm really is reactive.
-  Scenario s = diurnal_scenario();
-  s.forecast.kind = ForecastKind::kHoltWinters;
-  RunConfig config = diurnal_config(ForecastKind::kNone);
-  config.duration = 40.0;
-  config.warmup = 10.0;
-  config.ignore_scenario_forecast = true;
-  const ExperimentResult r = run_experiment(s, config);
-  EXPECT_EQ(r.forecast_solves, 0u);
-  EXPECT_DOUBLE_EQ(r.forecast_mean_smape, -1.0);
-}
-
 TEST(ForecastGauntlet, DemandTraceRecordsAllThreeSignals) {
   Scenario s = diurnal_scenario();
   RunConfig config = diurnal_config(ForecastKind::kHoltWinters);

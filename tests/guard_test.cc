@@ -226,8 +226,7 @@ struct SolverFixture {
         model(LatencyModel::from_application(*scenario.app, 2)),
         demand(scenario.app->class_count(), 2, 0.0),
         primary(*scenario.app, *scenario.deployment, *scenario.topology, {}),
-        fast(*scenario.app, *scenario.deployment, *scenario.topology, {}),
-        ripup(*scenario.app, *scenario.deployment, *scenario.topology, {}) {
+        fast(*scenario.app, *scenario.deployment, *scenario.topology, {}) {
     demand(0, 0) = 700.0;
     demand(0, 1) = 100.0;
   }
@@ -236,14 +235,13 @@ struct SolverFixture {
   FlatMatrix<double> demand;
   RouteOptimizer primary;
   FastRouteOptimizer fast;
-  RipupRouteOptimizer ripup;
 };
 
 TEST(SolverGuard, HealthySolveSettlesOnPrimary) {
   SolverFixture f;
   SolverGuard guard(*f.scenario.app, *f.scenario.deployment,
                     *f.scenario.topology, SolverGuardOptions{});
-  const auto outcome = guard.solve(f.primary, f.fast, f.ripup, false, f.model, f.demand,
+  const auto outcome = guard.solve(f.primary, f.fast, false, f.model, f.demand,
                                    nullptr, nullptr, /*solver_down=*/false,
                                    /*have_last_good=*/false);
   EXPECT_EQ(outcome.rung, SolverRung::kPrimary);
@@ -262,14 +260,14 @@ TEST(SolverGuard, OutageHoldsFreshPlanThenActuatesCapacitySplit) {
   // Periods 1-2 of the outage: a fresh plan exists, so the ladder holds it
   // rather than actuating a demand-blind split.
   for (int i = 0; i < 2; ++i) {
-    const auto held = guard.solve(f.primary, f.fast, f.ripup, false, f.model, f.demand,
+    const auto held = guard.solve(f.primary, f.fast, false, f.model, f.demand,
                                   nullptr, nullptr, /*solver_down=*/true,
                                   /*have_last_good=*/true);
     EXPECT_EQ(held.rung, SolverRung::kHoldLastGood);
     EXPECT_EQ(held.result.rules, nullptr);
   }
   // Period 3: the outage drags; the split actuates.
-  const auto split = guard.solve(f.primary, f.fast, f.ripup, false, f.model, f.demand,
+  const auto split = guard.solve(f.primary, f.fast, false, f.model, f.demand,
                                  nullptr, nullptr, true, true);
   EXPECT_EQ(split.rung, SolverRung::kCapacitySplit);
   ASSERT_TRUE(split.result.ok());
@@ -284,7 +282,7 @@ TEST(SolverGuard, OutageWithNoPlanSplitsImmediately) {
   SolverGuard guard(*f.scenario.app, *f.scenario.deployment,
                     *f.scenario.topology, o);
   // Nothing to hold: the split is the only serviceable rung.
-  const auto outcome = guard.solve(f.primary, f.fast, f.ripup, false, f.model, f.demand,
+  const auto outcome = guard.solve(f.primary, f.fast, false, f.model, f.demand,
                                    nullptr, nullptr, /*solver_down=*/true,
                                    /*have_last_good=*/false);
   EXPECT_EQ(outcome.rung, SolverRung::kCapacitySplit);
@@ -297,16 +295,16 @@ TEST(SolverGuard, PrimaryRecoveryResetsTheDegradedStreak) {
   o.hold_fresh_periods = 2;
   SolverGuard guard(*f.scenario.app, *f.scenario.deployment,
                     *f.scenario.topology, o);
-  guard.solve(f.primary, f.fast, f.ripup, false, f.model, f.demand,
+  guard.solve(f.primary, f.fast, false, f.model, f.demand,
               nullptr, nullptr, true, true);
-  guard.solve(f.primary, f.fast, f.ripup, false, f.model, f.demand,
+  guard.solve(f.primary, f.fast, false, f.model, f.demand,
               nullptr, nullptr, true, true);
   // Recovery: one healthy solve...
-  const auto healthy = guard.solve(f.primary, f.fast, f.ripup, false, f.model, f.demand,
+  const auto healthy = guard.solve(f.primary, f.fast, false, f.model, f.demand,
                                    nullptr, nullptr, false, true);
   EXPECT_EQ(healthy.rung, SolverRung::kPrimary);
   // ...re-arms the hold-fresh preference for the next outage.
-  const auto held = guard.solve(f.primary, f.fast, f.ripup, false, f.model, f.demand,
+  const auto held = guard.solve(f.primary, f.fast, false, f.model, f.demand,
                                 nullptr, nullptr, true, true);
   EXPECT_EQ(held.rung, SolverRung::kHoldLastGood);
 }
@@ -318,7 +316,7 @@ TEST(SolverGuard, CapacitySplitFavorsLocalAndCoversCandidates) {
   o.hold_fresh_periods = 0;
   SolverGuard guard(*f.scenario.app, *f.scenario.deployment,
                     *f.scenario.topology, o);
-  const auto outcome = guard.solve(f.primary, f.fast, f.ripup, false, f.model, f.demand,
+  const auto outcome = guard.solve(f.primary, f.fast, false, f.model, f.demand,
                                    nullptr, nullptr, true, false);
   ASSERT_EQ(outcome.rung, SolverRung::kCapacitySplit);
   const RoutingRuleSet& rules = *outcome.result.rules;
@@ -548,18 +546,6 @@ TEST(GuardGauntlet, GuardedRidesOutChaosThatCollapsesUnguarded) {
   EXPECT_EQ(unguarded.solver_fallbacks, 0u);
   // Unguarded still records the outage periods as holds (frozen rules).
   EXPECT_GE(unguarded.solver_holds, 5u);
-}
-
-TEST(GuardGauntlet, ScenarioGuardDirectivesCanBeDisarmed) {
-  // slate_cli --no-guard: ignore_scenario_guard must strip the armed
-  // gates so the unguarded arm really is unguarded.
-  RunConfig config = chaos_config();
-  config.duration = 40.0;
-  config.ignore_scenario_guard = true;
-  const ExperimentResult r = run_experiment(chaos_scenario(true), config);
-  EXPECT_EQ(r.guard_spikes_clamped, 0u);
-  EXPECT_EQ(r.guard_fields_rejected, 0u);
-  EXPECT_EQ(r.solver_fallbacks, 0u);
 }
 
 }  // namespace

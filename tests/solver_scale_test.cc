@@ -1,8 +1,8 @@
 // Planet-scale acceptance: on a 30-cluster / 200-service / 12-class
 // synthesized world, the solve fits the control period — warm starts beat
-// cold solves by the pinned factor at steady state, the rip-up heuristic
+// cold solves by the pinned factor at steady state, the descent heuristic
 // stays within its optimality-gap bound, and the solver guard demonstrably
-// falls back to the rip-up arm (and recovers) when the exact solve blows an
+// falls back to the descent arm (and recovers) when the exact solve blows an
 // enforced wall budget.
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "core/latency_model.h"
 #include "core/optimizer.h"
 #include "core/plan_eval.h"
-#include "core/ripup_optimizer.h"
 #include "guard/solver_guard.h"
 #include "topogen/topogen.h"
 
@@ -94,86 +93,75 @@ TEST_F(SolverScaleTest, WarmStartAtLeastFiveTimesFasterAtSteadyState) {
   EXPECT_EQ(warm.objective, cold.objective);
 }
 
-TEST_F(SolverScaleTest, RipupWithinTenPercentOfExact) {
+TEST_F(SolverScaleTest, FastWithinTenPercentOfExact) {
   RouteOptimizer exact(*scenario_->app, *scenario_->deployment,
                        *scenario_->topology);
-  RipupRouteOptimizer ripup(*scenario_->app, *scenario_->deployment,
-                            *scenario_->topology);
+  FastRouteOptimizer fast(*scenario_->app, *scenario_->deployment,
+                          *scenario_->topology);
   const OptimizerResult exact_result = exact.optimize(*model_, *demand_);
-  const OptimizerResult ripup_result = ripup.optimize(*model_, *demand_);
+  const OptimizerResult fast_result = fast.optimize(*model_, *demand_);
   ASSERT_TRUE(exact_result.ok());
-  // kIterationLimit means negotiation had not fully settled at the round
-  // cap; the best-seen plan is still complete and is what we score.
-  ASSERT_TRUE(ripup_result.status == LpStatus::kOptimal ||
-              ripup_result.status == LpStatus::kIterationLimit);
-  ASSERT_NE(ripup_result.rules, nullptr);
+  // kIterationLimit means descent ran out of sweeps; the plan it holds is
+  // still complete and is what we score.
+  ASSERT_TRUE(fast_result.status == LpStatus::kOptimal ||
+              fast_result.status == LpStatus::kIterationLimit);
+  ASSERT_NE(fast_result.rules, nullptr);
 
   const double exact_cost = evaluate_plan_cost(
       *scenario_->app, *scenario_->deployment, *scenario_->topology, *model_,
       *demand_, *exact_result.rules);
-  const double ripup_cost = evaluate_plan_cost(
+  const double fast_cost = evaluate_plan_cost(
       *scenario_->app, *scenario_->deployment, *scenario_->topology, *model_,
-      *demand_, *ripup_result.rules);
+      *demand_, *fast_result.rules);
   ASSERT_GT(exact_cost, 0.0);
-  EXPECT_LE(ripup_cost, exact_cost * 1.10)
-      << "gap " << (ripup_cost / exact_cost - 1.0) * 100.0 << "%";
+  EXPECT_LE(fast_cost, exact_cost * 1.10)
+      << "gap " << (fast_cost / exact_cost - 1.0) * 100.0 << "%";
 }
 
-TEST_F(SolverScaleTest, GuardFallsBackToRipupOnBudgetOverrunAndRecovers) {
+TEST_F(SolverScaleTest, GuardFallsBackToFastOnBudgetOverrunAndRecovers) {
   RouteOptimizer exact(*scenario_->app, *scenario_->deployment,
                        *scenario_->topology);
-  // A deliberately slow descent arm: with zero tolerance and a microscopic
-  // step it grinds through every sweep, so the fast rung also overruns the
-  // budget and the ladder must reach rip-up.
-  FastOptimizerOptions slow;
-  slow.max_sweeps = 100000;
-  slow.step = 1e-4;
-  slow.relative_tolerance = 0.0;
-  FastRouteOptimizer slow_fast(*scenario_->app, *scenario_->deployment,
-                               *scenario_->topology, slow);
-  RipupRouteOptimizer ripup(*scenario_->app, *scenario_->deployment,
-                            *scenario_->topology);
+  FastRouteOptimizer fast(*scenario_->app, *scenario_->deployment,
+                          *scenario_->topology);
 
-  // Budget calibration: rip-up finishes in milliseconds on this world while
-  // the exact LP and the crippled descent arm take hundreds; the geometric
-  // mean of the two measured times sits between them with a wide
-  // multiplicative margin on both sides, so load-dependent timing noise
-  // cannot flip which arms fit the budget.
+  // Budget calibration: descent finishes in milliseconds on this world while
+  // the exact LP takes tens to hundreds; the geometric mean of the two
+  // measured times sits between them with a wide multiplicative margin on
+  // both sides, so load-dependent timing noise cannot flip which arms fit
+  // the budget.
   const double t0 = now_seconds();
-  ASSERT_NE(ripup.optimize(*model_, *demand_).rules, nullptr);
-  const double ripup_seconds = now_seconds() - t0;
+  ASSERT_NE(fast.optimize(*model_, *demand_).rules, nullptr);
+  const double fast_seconds = now_seconds() - t0;
   const double t1 = now_seconds();
   ASSERT_TRUE(exact.optimize(*model_, *demand_).ok());
   const double exact_seconds = now_seconds() - t1;
-  ASSERT_LT(ripup_seconds * 4.0, exact_seconds)
-      << "world too easy to demonstrate a budget overrun: ripup "
-      << ripup_seconds * 1e3 << " ms vs exact " << exact_seconds * 1e3
+  ASSERT_LT(fast_seconds * 4.0, exact_seconds)
+      << "world too easy to demonstrate a budget overrun: fast "
+      << fast_seconds * 1e3 << " ms vs exact " << exact_seconds * 1e3
       << " ms";
 
   SolverGuardOptions options;
   options.enabled = true;
   options.enforce_budget = true;
-  options.wall_budget = std::sqrt(ripup_seconds * exact_seconds);
+  options.wall_budget = std::sqrt(fast_seconds * exact_seconds);
   SolverGuard guard(*scenario_->app, *scenario_->deployment,
                     *scenario_->topology, options);
   OptimizerCache cache;
 
-  const SolverGuard::Outcome degraded =
-      guard.solve(exact, slow_fast, ripup, false, *model_, *demand_, nullptr,
-                  &cache, false, false);
-  EXPECT_EQ(degraded.rung, SolverRung::kRipup)
+  const SolverGuard::Outcome degraded = guard.solve(
+      exact, fast, false, *model_, *demand_, nullptr, &cache, false, false);
+  EXPECT_EQ(degraded.rung, SolverRung::kFastHeuristic)
       << "settled on " << to_string(degraded.rung) << " (budget "
       << options.wall_budget * 1e3 << " ms)";
   ASSERT_TRUE(degraded.result.ok());
   EXPECT_NE(degraded.result.rules, nullptr);
-  EXPECT_EQ(guard.rung_count(SolverRung::kRipup), 1u);
+  EXPECT_EQ(guard.rung_count(SolverRung::kFastHeuristic), 1u);
 
   // Recovery: the over-budget primary solve still primed the cache, so the
   // next period's identical demand memo-hits in microseconds and the ladder
   // settles back on the primary rung.
-  const SolverGuard::Outcome recovered =
-      guard.solve(exact, slow_fast, ripup, false, *model_, *demand_, nullptr,
-                  &cache, false, true);
+  const SolverGuard::Outcome recovered = guard.solve(
+      exact, fast, false, *model_, *demand_, nullptr, &cache, false, true);
   EXPECT_EQ(recovered.rung, SolverRung::kPrimary)
       << "settled on " << to_string(recovered.rung);
   ASSERT_TRUE(recovered.result.ok());
