@@ -1,11 +1,17 @@
 #include "runtime/scenario_loader.h"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <map>
-#include <optional>
+#include <set>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "contingency/contingency.h"
@@ -82,34 +88,164 @@ double parse_number(const std::string& text, std::size_t line) {
   }
 }
 
-// A whole number >= `min` (replica counts, queue limits, probe counts):
-// "servers=-2" must not wrap into a huge unsigned, and "servers=1.5"
-// must not silently truncate.
-std::uint64_t parse_count(const std::string& text, std::size_t line,
-                          std::uint64_t min, const char* what) {
-  const double v = parse_number(text, line);
-  if (v != std::floor(v)) {
-    fail(line, std::string(what) + " must be an integer, got '" + text + "'");
+// "@5s" -> 5: the start time of a ramp, pulse, fault or drain.
+double parse_start(const std::string& token, std::size_t line) {
+  if (token[0] != '@') {
+    fail(line, "expected @<start-time>, got '" + token + "'");
   }
-  if (v < static_cast<double>(min)) {
-    fail(line, std::string(what) + " must be >= " + std::to_string(min) +
-                   ", got '" + text + "'");
-  }
-  return static_cast<std::uint64_t>(v);
+  return parse_duration(token.substr(1), line);
 }
 
-bool parse_on_off(const std::string& text, std::size_t line, const char* what) {
-  if (text == "on") return true;
-  if (text == "off") return false;
-  fail(line, std::string(what) + " must be on or off, got '" + text + "'");
+// --- Attributes ------------------------------------------------------------
+// Every optional knob of a directive is a key=value attribute: one row of a
+// table, applied by parse_attrs under the shared rules of
+// docs/scenario_format.md ("Attributes").
+
+// How an attribute value is read.
+enum class Kind {
+  kNumber,    // "0.5"
+  kDuration,  // "25ms"; never negative
+  kBytes,     // "2KB"
+  kCount,     // whole number: "servers=-2" must not wrap into a huge
+              // unsigned, nor "servers=1.5" truncate, nor "inf" overflow
+  kOnOff,     // "on" | "off"
+  kText,      // kept verbatim
+  kCustom,    // handed to the row's own parser
+};
+using enum Kind;
+
+// The values an attribute accepts; an open bound excludes its endpoint.
+struct Range {
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  bool lo_open = false;
+  bool hi_open = false;
+};
+constexpr Range gt(double lo) { return {.lo = lo, .lo_open = true}; }
+constexpr Range ge(double lo) { return {.lo = lo}; }
+// oo(0, 1) is (0, 1), oc(0, 1) is (0, 1], cc(0, 1) is [0, 1].
+constexpr Range oo(double lo, double hi) { return {lo, hi, true, true}; }
+constexpr Range oc(double lo, double hi) { return {lo, hi, true, false}; }
+constexpr Range cc(double lo, double hi) { return {lo, hi, false, false}; }
+
+// "> 0", "<= 256", "in (0, 1]".
+std::string range_text(const Range& r) {
+  if (std::isinf(r.hi)) return strfmt("%s %g", r.lo_open ? ">" : ">=", r.lo);
+  if (std::isinf(r.lo)) return strfmt("%s %g", r.hi_open ? "<" : "<=", r.hi);
+  return strfmt("in %c%g, %g%c", r.lo_open ? '(' : '[', r.lo, r.hi,
+                r.hi_open ? ')' : ']');
 }
 
-// Splits "key=value"; returns nullopt for tokens without '='.
-std::optional<std::pair<std::string, std::string>> split_kv(
-    const std::string& token) {
-  const std::size_t eq = token.find('=');
-  if (eq == std::string::npos) return std::nullopt;
-  return std::make_pair(token.substr(0, eq), token.substr(eq + 1));
+using Parser = std::function<void(const std::string& value)>;
+// Where a value lands. The unsigned pointer types cover std::size_t and
+// std::uint64_t on every data model.
+using Target = std::variant<double*, unsigned*, unsigned long*,
+                            unsigned long long*, bool*, std::string*, Parser>;
+
+struct Attr {
+  const char* key;
+  Target target;
+  Kind kind = kNumber;
+  Range range = {};
+  bool required = false;
+};
+
+// Stores a parsed number in a numeric target; whole counts reach unsigned
+// targets through uint64_t.
+template <typename V>
+void store(const Target& target, V value) {
+  std::visit(
+      [value](const auto& p) {
+        using T = std::remove_pointer_t<std::decay_t<decltype(p)>>;
+        if constexpr (std::is_same_v<T, double>) {
+          *p = static_cast<double>(value);
+        } else if constexpr (std::is_unsigned_v<T> && !std::is_same_v<T, bool>) {
+          *p = static_cast<T>(static_cast<std::uint64_t>(value));
+        } else {
+          throw std::logic_error("attribute target is not numeric");
+        }
+      },
+      target);
+}
+
+void set_attr(const Attr& attr, const std::string& text, std::size_t line) {
+  const std::string key = attr.key;
+  double value = 0.0;
+  switch (attr.kind) {
+    case kText:
+      *std::get<std::string*>(attr.target) = text;
+      return;
+    case kCustom:
+      std::get<Parser>(attr.target)(text);
+      return;
+    case kOnOff:
+      if (text != "on" && text != "off") {
+        fail(line, key + " must be on or off, got '" + text + "'");
+      }
+      *std::get<bool*>(attr.target) = text == "on";
+      return;
+    case kBytes:
+      store(attr.target, parse_bytes(text, line));
+      return;
+    case kDuration:
+      value = parse_duration(text, line);
+      break;
+    case kNumber:
+    case kCount:
+      value = parse_number(text, line);
+      break;
+  }
+  const Range& r = attr.range;
+  const bool low = r.lo_open ? value <= r.lo : value < r.lo;
+  const bool high = r.hi_open ? value >= r.hi : value > r.hi;
+  if (attr.kind == kCount) {
+    if (!std::isfinite(value) || value != std::floor(value)) {
+      fail(line, key + " must be an integer, got '" + text + "'");
+    }
+    if (low) {
+      fail(line, key + " must be " +
+                     range_text({.lo = r.lo, .lo_open = r.lo_open}) + ", got '" +
+                     text + "'");
+    }
+    if (high) {
+      fail(line, key + " must be " +
+                     range_text({.hi = r.hi, .hi_open = r.hi_open}));
+    }
+  } else if (low || high) {
+    fail(line, key + " must be " + range_text(r));
+  }
+  store(attr.target, value);
+}
+
+// Applies the key=value tokens of one directive line to `table`. Rejects a
+// token without '=', an unknown or repeated key, a value outside its row's
+// range and, with the message `missing`, an absent required key. Returns
+// the keys seen.
+std::set<std::string> parse_attrs(std::span<const std::string> tokens,
+                                  std::size_t line, const std::string& family,
+                                  const std::vector<Attr>& table,
+                                  const std::string& missing) {
+  std::set<std::string> seen;
+  for (const std::string& token : tokens) {
+    const std::size_t eq = token.find('=');
+    if (eq == std::string::npos) {
+      fail(line, "expected key=value, got '" + token + "'");
+    }
+    const std::string key = token.substr(0, eq);
+    const auto row = std::find_if(table.begin(), table.end(),
+                                  [&](const Attr& a) { return key == a.key; });
+    if (row == table.end()) {
+      fail(line, "unknown " + family + " attribute '" + key + "'");
+    }
+    if (!seen.insert(key).second) {
+      fail(line, "duplicate " + family + " attribute '" + key + "'");
+    }
+    set_attr(*row, token.substr(eq + 1), line);
+  }
+  for (const Attr& a : table) {
+    if (a.required && seen.count(a.key) == 0) fail(line, missing);
+  }
+  return seen;
 }
 
 // Build-time info per class: node label -> node index.
@@ -155,7 +291,6 @@ struct FaultDirective {
   double extra = 0.0;
   bool partition = false;
   bool has_factor = false;
-  bool has_extra = false;
 };
 
 // Per-class overload settings reference classes that may be declared later;
@@ -238,6 +373,13 @@ Scenario load_scenario(std::istream& input) {
         fail(line_number, "unexpected trailing token '" + tokens[count] +
                               "' (usage: " + usage + ")");
       }
+    };
+    // This line's key=value attributes from token `first` on.
+    auto attrs = [&](std::size_t first, const std::string& family,
+                     const std::vector<Attr>& table,
+                     const std::string& missing = "") {
+      return parse_attrs(std::span(tokens).subspan(first), line_number, family,
+                         table, missing);
     };
     auto find_cluster = [&](const std::string& name) {
       const ClusterId id = scenario.topology->find_cluster(name);
@@ -364,33 +506,22 @@ Scenario load_scenario(std::istream& input) {
       double mult = 1.0;
       std::string label = tokens[3];
       InvocationMode mode = InvocationMode::kSequential;
-      for (std::size_t i = 4; i < tokens.size(); ++i) {
-        const auto kv = split_kv(tokens[i]);
-        if (!kv) fail(line_number, "expected key=value, got '" + tokens[i] + "'");
-        const auto& [key, value] = *kv;
-        if (key == "compute") {
-          compute = parse_duration(value, line_number);
-        } else if (key == "req") {
-          req = parse_bytes(value, line_number);
-        } else if (key == "resp") {
-          resp = parse_bytes(value, line_number);
-        } else if (key == "mult") {
-          mult = parse_number(value, line_number);
-          if (mult < 0.0) fail(line_number, "mult must be >= 0");
-        } else if (key == "label") {
-          label = value;
-        } else if (key == "mode") {
-          if (value == "seq") {
-            mode = InvocationMode::kSequential;
-          } else if (value == "par") {
-            mode = InvocationMode::kParallel;
-          } else {
-            fail(line_number, "mode must be seq or par");
-          }
+      const Parser parse_mode = [&](const std::string& value) {
+        if (value == "seq") {
+          mode = InvocationMode::kSequential;
+        } else if (value == "par") {
+          mode = InvocationMode::kParallel;
         } else {
-          fail(line_number, "unknown call attribute '" + key + "'");
+          fail(line_number, "mode must be seq or par");
         }
-      }
+      };
+      attrs(4, "call",
+            {{"compute", &compute, kDuration},
+             {"req", &req, kBytes},
+             {"resp", &resp, kBytes},
+             {"mult", &mult, kNumber, gt(0)},
+             {"label", &label, kText},
+             {"mode", parse_mode, kCustom}});
 
       std::size_t node;
       if (tokens[2] == "root") {
@@ -420,155 +551,79 @@ Scenario load_scenario(std::istream& input) {
       d.service = tokens[1];
       d.cluster = tokens[2];
       d.undeploy = undeploy;
-      for (std::size_t i = 3; i < tokens.size(); ++i) {
-        const auto kv = split_kv(tokens[i]);
-        if (!kv) fail(line_number, "expected key=value, got '" + tokens[i] + "'");
-        if (kv->first == "servers") {
-          d.servers = static_cast<unsigned>(
-              parse_count(kv->second, line_number, 1, "servers"));
-        } else if (kv->first == "capacity") {
-          d.capacity = parse_number(kv->second, line_number);
-        } else {
-          fail(line_number, "unknown deploy attribute '" + kv->first + "'");
-        }
-      }
+      attrs(3, "deploy",
+            {{"servers", &d.servers, kCount, ge(1)},
+             {"capacity", &d.capacity}});
       if (!undeploy && d.capacity <= 0.0) {
         fail(line_number, "deploy requires capacity=<RPS>");
       }
       deploys.push_back(std::move(d));
     } else if (directive == "demand") {
       need(4, "demand <class> <cluster> [@t] <rps>");
+      DemandDirective d;
+      d.line = line_number;
       if (tokens[1] == "diurnal") {
         const char* usage =
             "demand diurnal <class> <cluster> base=<rps> amp=<rps> "
             "period=<dur> until=<t> [phase=<dur>] [start=<t>] [step=<dur>]";
         need(5, usage);
-        DemandDirective d;
-        d.line = line_number;
         d.kind = "diurnal";
         d.cls = tokens[2];
         d.cluster = tokens[3];
-        bool has_base = false, has_amp = false, has_period = false,
-             has_until = false;
-        for (std::size_t i = 4; i < tokens.size(); ++i) {
-          const auto kv = split_kv(tokens[i]);
-          if (!kv) fail(line_number, "expected key=value, got '" + tokens[i] + "'");
-          const auto& [key, value] = *kv;
-          if (key == "base") {
-            d.diurnal.base = parse_number(value, line_number);
-            has_base = true;
-          } else if (key == "amp") {
-            d.diurnal.amplitude = parse_number(value, line_number);
-            has_amp = true;
-          } else if (key == "period") {
-            d.diurnal.period = parse_duration(value, line_number);
-            has_period = true;
-          } else if (key == "until") {
-            d.diurnal.end = parse_duration(value, line_number);
-            has_until = true;
-          } else if (key == "phase") {
-            d.diurnal.phase = parse_duration(value, line_number);
-          } else if (key == "start") {
-            d.diurnal.start = parse_duration(value, line_number);
-          } else if (key == "step") {
-            d.diurnal.step = parse_duration(value, line_number);
-          } else {
-            fail(line_number, "unknown demand diurnal attribute '" + key + "'");
-          }
-        }
-        if (!has_base || !has_amp || !has_period || !has_until) {
-          fail(line_number, std::string("usage: ") + usage);
-        }
-        demands.push_back(std::move(d));
+        DiurnalSpec& g = d.diurnal;
+        attrs(4, "demand diurnal",
+              {{"base", &g.base, kNumber, {}, true},
+               {"amp", &g.amplitude, kNumber, {}, true},
+               {"period", &g.period, kDuration, {}, true},
+               {"until", &g.end, kDuration, {}, true},
+               {"phase", &g.phase, kDuration},
+               {"start", &g.start, kDuration},
+               {"step", &g.step, kDuration}},
+              std::string("usage: ") + usage);
       } else if (tokens[1] == "ramp") {
         const char* usage =
             "demand ramp <class> <cluster> @<start> <duration> from=<rps> "
             "to=<rps> [step=<dur>]";
         need(8, usage);
-        DemandDirective d;
-        d.line = line_number;
         d.kind = "ramp";
         d.cls = tokens[2];
         d.cluster = tokens[3];
-        if (tokens[4][0] != '@') {
-          fail(line_number, "expected @<start-time>, got '" + tokens[4] + "'");
-        }
-        d.ramp.start = parse_duration(tokens[4].substr(1), line_number);
+        d.ramp.start = parse_start(tokens[4], line_number);
         d.ramp.duration = parse_duration(tokens[5], line_number);
-        bool has_from = false, has_to = false;
-        for (std::size_t i = 6; i < tokens.size(); ++i) {
-          const auto kv = split_kv(tokens[i]);
-          if (!kv) fail(line_number, "expected key=value, got '" + tokens[i] + "'");
-          const auto& [key, value] = *kv;
-          if (key == "from") {
-            d.ramp.from_rps = parse_number(value, line_number);
-            has_from = true;
-          } else if (key == "to") {
-            d.ramp.to_rps = parse_number(value, line_number);
-            has_to = true;
-          } else if (key == "step") {
-            d.ramp.step = parse_duration(value, line_number);
-          } else {
-            fail(line_number, "unknown demand ramp attribute '" + key + "'");
-          }
-        }
-        if (!has_from || !has_to) {
-          fail(line_number, std::string("usage: ") + usage);
-        }
-        demands.push_back(std::move(d));
+        attrs(6, "demand ramp",
+              {{"from", &d.ramp.from_rps, kNumber, {}, true},
+               {"to", &d.ramp.to_rps, kNumber, {}, true},
+               {"step", &d.ramp.step, kDuration}},
+              std::string("usage: ") + usage);
       } else if (tokens[1] == "pulse") {
         const char* usage =
             "demand pulse <class> <cluster> @<start> <width> base=<rps> "
             "peak=<rps> [decay=<dur>] [step=<dur>]";
         need(8, usage);
-        DemandDirective d;
-        d.line = line_number;
         d.kind = "pulse";
         d.cls = tokens[2];
         d.cluster = tokens[3];
-        if (tokens[4][0] != '@') {
-          fail(line_number, "expected @<start-time>, got '" + tokens[4] + "'");
-        }
-        d.pulse.start = parse_duration(tokens[4].substr(1), line_number);
+        d.pulse.start = parse_start(tokens[4], line_number);
         d.pulse.width = parse_duration(tokens[5], line_number);
-        bool has_base = false, has_peak = false;
-        for (std::size_t i = 6; i < tokens.size(); ++i) {
-          const auto kv = split_kv(tokens[i]);
-          if (!kv) fail(line_number, "expected key=value, got '" + tokens[i] + "'");
-          const auto& [key, value] = *kv;
-          if (key == "base") {
-            d.pulse.base = parse_number(value, line_number);
-            has_base = true;
-          } else if (key == "peak") {
-            d.pulse.peak = parse_number(value, line_number);
-            has_peak = true;
-          } else if (key == "decay") {
-            d.pulse.decay = parse_duration(value, line_number);
-          } else if (key == "step") {
-            d.pulse.step = parse_duration(value, line_number);
-          } else {
-            fail(line_number, "unknown demand pulse attribute '" + key + "'");
-          }
-        }
-        if (!has_base || !has_peak) {
-          fail(line_number, std::string("usage: ") + usage);
-        }
-        demands.push_back(std::move(d));
+        attrs(6, "demand pulse",
+              {{"base", &d.pulse.base, kNumber, {}, true},
+               {"peak", &d.pulse.peak, kNumber, {}, true},
+               {"decay", &d.pulse.decay, kDuration},
+               {"step", &d.pulse.step, kDuration}},
+              std::string("usage: ") + usage);
       } else {
-        DemandDirective d;
-        d.line = line_number;
         d.cls = tokens[1];
         d.cluster = tokens[2];
         std::size_t rate_index = 3;
         if (tokens[3][0] == '@') {
           need(5, "demand <class> <cluster> @<t> <rps>");
-          d.start_time = parse_duration(tokens[3].substr(1), line_number);
+          d.start_time = parse_start(tokens[3], line_number);
           rate_index = 4;
         }
         d.rps = parse_number(tokens[rate_index], line_number);
         if (d.rps < 0.0) fail(line_number, "demand rate must be >= 0");
-        demands.push_back(std::move(d));
       }
+      demands.push_back(std::move(d));
     } else if (directive == "forecast") {
       need(2,
            "forecast <none|last|ewma|linear|holtwinters|oracle> "
@@ -579,56 +634,17 @@ Scenario load_scenario(std::istream& input) {
              "unknown forecast kind '" + tokens[1] +
                  "' (expected none, last, ewma, linear, holtwinters, oracle)");
       }
-      for (std::size_t i = 2; i < tokens.size(); ++i) {
-        const auto kv = split_kv(tokens[i]);
-        if (!kv) fail(line_number, "expected key=value, got '" + tokens[i] + "'");
-        const auto& [key, value] = *kv;
-        if (key == "alpha") {
-          f.ewma_alpha = parse_number(value, line_number);
-          if (f.ewma_alpha <= 0.0 || f.ewma_alpha > 1.0) {
-            fail(line_number, "alpha must be in (0, 1]");
-          }
-        } else if (key == "window") {
-          f.window = static_cast<std::size_t>(
-              parse_count(value, line_number, 2, "window"));
-        } else if (key == "season") {
-          f.season = static_cast<std::size_t>(
-              parse_count(value, line_number, 2, "season"));
-        } else if (key == "hw_alpha") {
-          f.hw_alpha = parse_number(value, line_number);
-          if (f.hw_alpha <= 0.0 || f.hw_alpha > 1.0) {
-            fail(line_number, "hw_alpha must be in (0, 1]");
-          }
-        } else if (key == "hw_beta") {
-          f.hw_beta = parse_number(value, line_number);
-          if (f.hw_beta < 0.0 || f.hw_beta > 1.0) {
-            fail(line_number, "hw_beta must be in [0, 1]");
-          }
-        } else if (key == "hw_gamma") {
-          f.hw_gamma = parse_number(value, line_number);
-          if (f.hw_gamma < 0.0 || f.hw_gamma > 1.0) {
-            fail(line_number, "hw_gamma must be in [0, 1]");
-          }
-        } else if (key == "backtest") {
-          f.backtest_window = static_cast<std::size_t>(
-              parse_count(value, line_number, 1, "backtest"));
-        } else if (key == "min_history") {
-          f.min_history = static_cast<std::size_t>(
-              parse_count(value, line_number, 0, "min_history"));
-        } else if (key == "smape_scale") {
-          f.smape_scale = parse_number(value, line_number);
-          if (f.smape_scale <= 0.0) {
-            fail(line_number, "smape_scale must be > 0");
-          }
-        } else if (key == "max_confidence") {
-          f.max_confidence = parse_number(value, line_number);
-          if (f.max_confidence < 0.0 || f.max_confidence > 1.0) {
-            fail(line_number, "max_confidence must be in [0, 1]");
-          }
-        } else {
-          fail(line_number, "unknown forecast attribute '" + key + "'");
-        }
-      }
+      attrs(2, "forecast",
+            {{"alpha", &f.ewma_alpha, kNumber, oc(0, 1)},
+             {"window", &f.window, kCount, ge(2)},
+             {"season", &f.season, kCount, ge(2)},
+             {"hw_alpha", &f.hw_alpha, kNumber, oc(0, 1)},
+             {"hw_beta", &f.hw_beta, kNumber, cc(0, 1)},
+             {"hw_gamma", &f.hw_gamma, kNumber, cc(0, 1)},
+             {"backtest", &f.backtest_window, kCount, ge(1)},
+             {"min_history", &f.min_history, kCount, ge(0)},
+             {"smape_scale", &f.smape_scale, kNumber, gt(0)},
+             {"max_confidence", &f.max_confidence, kNumber, cc(0, 1)}});
     } else if (directive == "fault" && tokens.size() >= 2 &&
                tokens[1] == "campaign") {
       // Seeded chaos campaign: expands to a concrete fault/drain sequence at
@@ -638,53 +654,37 @@ Scenario load_scenario(std::istream& input) {
            "[mean_duration=<dur>] [kinds=outage,gray,partition,drain]");
       CampaignDirective cd;
       cd.line = line_number;
-      for (std::size_t i = 2; i < tokens.size(); ++i) {
-        const auto kv = split_kv(tokens[i]);
-        if (!kv) fail(line_number, "expected key=value, got '" + tokens[i] + "'");
-        const auto& [key, value] = *kv;
-        if (key == "seed") {
-          cd.spec.seed = parse_count(value, line_number, 0, "seed");
-        } else if (key == "events") {
-          cd.spec.events = static_cast<std::size_t>(
-              parse_count(value, line_number, 1, "events"));
-        } else if (key == "start") {
-          cd.spec.start = parse_duration(value, line_number);
-        } else if (key == "spacing") {
-          cd.spec.spacing = parse_duration(value, line_number);
-          if (cd.spec.spacing <= 0.0) fail(line_number, "spacing must be > 0");
-        } else if (key == "mean_duration") {
-          cd.spec.mean_duration = parse_duration(value, line_number);
-          if (cd.spec.mean_duration <= 0.0) {
-            fail(line_number, "mean_duration must be > 0");
+      CampaignSpec& c = cd.spec;
+      const Parser parse_kinds = [&](const std::string& value) {
+        c.kinds = CampaignKinds{false, false, false, false};
+        std::string rest = value;
+        while (!rest.empty()) {
+          const std::size_t comma = rest.find(',');
+          const std::string kind = rest.substr(0, comma);
+          rest = comma == std::string::npos ? "" : rest.substr(comma + 1);
+          if (kind == "outage") {
+            c.kinds.outage = true;
+          } else if (kind == "gray") {
+            c.kinds.gray = true;
+          } else if (kind == "partition") {
+            c.kinds.partition = true;
+          } else if (kind == "drain") {
+            c.kinds.drain = true;
+          } else {
+            fail(line_number,
+                 "unknown campaign kind '" + kind +
+                     "' (expected outage, gray, partition, drain)");
           }
-        } else if (key == "kinds") {
-          cd.spec.kinds = CampaignKinds{false, false, false, false};
-          std::string rest = value;
-          while (!rest.empty()) {
-            const std::size_t comma = rest.find(',');
-            const std::string kind = rest.substr(0, comma);
-            rest = comma == std::string::npos ? "" : rest.substr(comma + 1);
-            if (kind == "outage") {
-              cd.spec.kinds.outage = true;
-            } else if (kind == "gray") {
-              cd.spec.kinds.gray = true;
-            } else if (kind == "partition") {
-              cd.spec.kinds.partition = true;
-            } else if (kind == "drain") {
-              cd.spec.kinds.drain = true;
-            } else {
-              fail(line_number,
-                   "unknown campaign kind '" + kind +
-                       "' (expected outage, gray, partition, drain)");
-            }
-          }
-        } else {
-          fail(line_number, "unknown campaign attribute '" + key + "'");
         }
-      }
-      if (cd.spec.events == 0) {
-        fail(line_number, "fault campaign requires events=<k> (>= 1)");
-      }
+      };
+      attrs(2, "campaign",
+            {{"seed", &c.seed, kCount, ge(0)},
+             {"events", &c.events, kCount, ge(1), true},
+             {"start", &c.start, kDuration},
+             {"spacing", &c.spacing, kDuration, gt(0)},
+             {"mean_duration", &c.mean_duration, kDuration, gt(0)},
+             {"kinds", parse_kinds, kCustom}},
+            "fault campaign requires events=<k> (>= 1)");
       campaigns.push_back(std::move(cd));
     } else if (directive == "fault") {
       need(2, "fault <outage|blackout|corrupt|slowdown|link|solver> ...");
@@ -723,38 +723,35 @@ Scenario load_scenario(std::istream& input) {
                  "' (expected outage, blackout, corrupt, slowdown, link, "
                  "solver, campaign)");
       }
-      if (tokens[i][0] != '@') {
-        fail(line_number, "expected @<start-time>, got '" + tokens[i] + "'");
-      }
-      f.start = parse_duration(tokens[i].substr(1), line_number);
+      f.start = parse_start(tokens[i], line_number);
       f.duration = parse_duration(tokens[i + 1], line_number);
+      // A link fault also takes the bare token `partition`.
+      std::vector<std::string> rest;
       for (i += 2; i < tokens.size(); ++i) {
         if (f.kind == "link" && tokens[i] == "partition") {
           f.partition = true;
-          continue;
+        } else {
+          rest.push_back(tokens[i]);
         }
-        const auto kv = split_kv(tokens[i]);
-        if (!kv) fail(line_number, "expected key=value, got '" + tokens[i] + "'");
-        if (kv->first == "factor" &&
-            (f.kind == "slowdown" || f.kind == "link" || f.kind == "corrupt")) {
-          f.factor = parse_number(kv->second, line_number);
-          if (f.factor <= 0.0) fail(line_number, "factor must be > 0");
-          if (f.kind == "corrupt" && f.factor <= 1.0) {
+      }
+      const Attr factor{"factor", &f.factor, kNumber, gt(0),
+                        f.kind == "slowdown"};
+      std::vector<Attr> table = {factor};
+      if (f.kind == "corrupt") {
+        // A corruption spike must amplify.
+        const Parser parse_spike = [&](const std::string& value) {
+          set_attr(factor, value, line_number);
+          if (f.factor <= 1.0) {
             fail(line_number, "corrupt factor must be > 1 (spike multiplier)");
           }
-          f.has_factor = true;
-        } else if (kv->first == "extra" && f.kind == "link") {
-          f.extra = parse_duration(kv->second, line_number);
-          f.has_extra = true;
-        } else {
-          fail(line_number, "unknown fault " + f.kind + " attribute '" +
-                                kv->first + "'");
-        }
+        };
+        table[0] = {"factor", parse_spike, kCustom};
       }
-      if (f.kind == "slowdown" && !f.has_factor) {
-        fail(line_number, "fault slowdown requires factor=<x>");
-      }
-      if (f.kind == "link" && !f.partition && !f.has_factor && !f.has_extra) {
+      if (f.kind == "link") table.push_back({"extra", &f.extra, kDuration});
+      const auto seen = parse_attrs(rest, line_number, "fault " + f.kind, table,
+                                    "fault slowdown requires factor=<x>");
+      f.has_factor = seen.count("factor") != 0;
+      if (f.kind == "link" && !f.partition && seen.empty()) {
         fail(line_number,
              "fault link needs an effect: factor=, extra=, or partition");
       }
@@ -767,30 +764,11 @@ Scenario load_scenario(std::istream& input) {
              "overload queue limit=<n> [codel_target=<dur>] "
              "[codel_interval=<dur>] [priority_shedding=on|off]");
         QueuePolicy& q = scenario.overload.queue;
-        for (std::size_t i = 2; i < tokens.size(); ++i) {
-          const auto kv = split_kv(tokens[i]);
-          if (!kv) fail(line_number, "expected key=value, got '" + tokens[i] + "'");
-          const auto& [key, value] = *kv;
-          if (key == "limit") {
-            q.max_queue = static_cast<std::size_t>(
-                parse_count(value, line_number, 0, "limit"));
-          } else if (key == "codel_target") {
-            q.codel_target = parse_duration(value, line_number);
-            if (q.codel_target <= 0.0) {
-              fail(line_number, "codel_target must be > 0");
-            }
-          } else if (key == "codel_interval") {
-            q.codel_interval = parse_duration(value, line_number);
-            if (q.codel_interval <= 0.0) {
-              fail(line_number, "codel_interval must be > 0");
-            }
-          } else if (key == "priority_shedding") {
-            q.priority_shedding =
-                parse_on_off(value, line_number, "priority_shedding");
-          } else {
-            fail(line_number, "unknown overload queue attribute '" + key + "'");
-          }
-        }
+        attrs(2, "overload queue",
+              {{"limit", &q.max_queue, kCount, ge(0)},
+               {"codel_target", &q.codel_target, kDuration, gt(0)},
+               {"codel_interval", &q.codel_interval, kDuration, gt(0)},
+               {"priority_shedding", &q.priority_shedding, kOnOff}});
       } else if (sub == "deadline") {
         // Two forms: a default for all classes (with optional propagate=),
         // or a per-class override ("overload deadline <class> <duration>").
@@ -811,18 +789,8 @@ Scenario load_scenario(std::istream& input) {
           if (dl.default_deadline <= 0.0) {
             fail(line_number, "deadline must be > 0");
           }
-          for (std::size_t i = 3; i < tokens.size(); ++i) {
-            const auto kv = split_kv(tokens[i]);
-            if (!kv) {
-              fail(line_number, "expected key=value, got '" + tokens[i] + "'");
-            }
-            if (kv->first == "propagate") {
-              dl.propagate = parse_on_off(kv->second, line_number, "propagate");
-            } else {
-              fail(line_number,
-                   "unknown overload deadline attribute '" + kv->first + "'");
-            }
-          }
+          attrs(3, "overload deadline",
+                {{"propagate", &dl.propagate, kOnOff}});
         }
       } else if (sub == "priority") {
         exact(4, "overload priority <class> <level>");
@@ -839,36 +807,13 @@ Scenario load_scenario(std::istream& input) {
       } else if (sub == "breaker") {
         BreakerPolicy& br = scenario.overload.breaker;
         br.enabled = true;
-        for (std::size_t i = 2; i < tokens.size(); ++i) {
-          const auto kv = split_kv(tokens[i]);
-          if (!kv) fail(line_number, "expected key=value, got '" + tokens[i] + "'");
-          const auto& [key, value] = *kv;
-          if (key == "window") {
-            br.window = parse_duration(value, line_number);
-            if (br.window <= 0.0) fail(line_number, "window must be > 0");
-          } else if (key == "ratio") {
-            br.failure_ratio = parse_number(value, line_number);
-            if (br.failure_ratio <= 0.0 || br.failure_ratio > 1.0) {
-              fail(line_number, "ratio must be in (0, 1]");
-            }
-          } else if (key == "min_volume") {
-            br.min_volume = static_cast<std::size_t>(
-                parse_count(value, line_number, 1, "min_volume"));
-          } else if (key == "eject") {
-            br.ejection_base = parse_duration(value, line_number);
-            if (br.ejection_base <= 0.0) fail(line_number, "eject must be > 0");
-          } else if (key == "max_eject") {
-            br.max_ejection = parse_duration(value, line_number);
-            if (br.max_ejection <= 0.0) {
-              fail(line_number, "max_eject must be > 0");
-            }
-          } else if (key == "probes") {
-            br.half_open_probes = static_cast<std::size_t>(
-                parse_count(value, line_number, 1, "probes"));
-          } else {
-            fail(line_number, "unknown overload breaker attribute '" + key + "'");
-          }
-        }
+        attrs(2, "overload breaker",
+              {{"window", &br.window, kDuration, gt(0)},
+               {"ratio", &br.failure_ratio, kNumber, oc(0, 1)},
+               {"min_volume", &br.min_volume, kCount, ge(1)},
+               {"eject", &br.ejection_base, kDuration, gt(0)},
+               {"max_eject", &br.max_ejection, kDuration, gt(0)},
+               {"probes", &br.half_open_probes, kCount, ge(1)}});
       } else {
         fail(line_number, "unknown overload kind '" + sub +
                               "' (expected queue, deadline, priority, breaker)");
@@ -879,122 +824,37 @@ Scenario load_scenario(std::istream& input) {
       if (sub == "admission") {
         AdmissionOptions& g = scenario.guard.admission;
         g.enabled = true;
-        for (std::size_t i = 2; i < tokens.size(); ++i) {
-          const auto kv = split_kv(tokens[i]);
-          if (!kv) fail(line_number, "expected key=value, got '" + tokens[i] + "'");
-          const auto& [key, value] = *kv;
-          if (key == "max_rps") {
-            g.max_rps = parse_number(value, line_number);
-            if (g.max_rps <= 0.0) fail(line_number, "max_rps must be > 0");
-          } else if (key == "max_latency") {
-            g.max_latency = parse_duration(value, line_number);
-            if (g.max_latency <= 0.0) fail(line_number, "max_latency must be > 0");
-          } else if (key == "max_utilization") {
-            g.max_utilization = parse_number(value, line_number);
-            if (g.max_utilization <= 0.0) {
-              fail(line_number, "max_utilization must be > 0");
-            }
-          } else if (key == "window") {
-            g.mad_window = static_cast<std::size_t>(
-                parse_count(value, line_number, 2, "window"));
-            if (g.mad_window > 256) {
-              fail(line_number, "window must be <= 256");
-            }
-          } else if (key == "min_history") {
-            g.min_history = static_cast<std::size_t>(
-                parse_count(value, line_number, 1, "min_history"));
-          } else if (key == "threshold") {
-            g.mad_threshold = parse_number(value, line_number);
-            if (g.mad_threshold <= 0.0) fail(line_number, "threshold must be > 0");
-          } else if (key == "noise_floor") {
-            g.mad_noise_floor = parse_number(value, line_number);
-            if (g.mad_noise_floor < 0.0) {
-              fail(line_number, "noise_floor must be >= 0");
-            }
-          } else if (key == "trust_decay") {
-            g.trust_decay = parse_number(value, line_number);
-            if (g.trust_decay <= 0.0 || g.trust_decay > 1.0) {
-              fail(line_number, "trust_decay must be in (0, 1]");
-            }
-          } else if (key == "trust_recovery") {
-            g.trust_recovery = parse_number(value, line_number);
-            if (g.trust_recovery <= 0.0 || g.trust_recovery > 1.0) {
-              fail(line_number, "trust_recovery must be in (0, 1]");
-            }
-          } else if (key == "min_trust") {
-            g.min_trust = parse_number(value, line_number);
-            if (g.min_trust <= 0.0 || g.min_trust > 1.0) {
-              fail(line_number, "min_trust must be in (0, 1]");
-            }
-          } else {
-            fail(line_number, "unknown guard admission attribute '" + key + "'");
-          }
-        }
+        attrs(2, "guard admission",
+              {{"max_rps", &g.max_rps, kNumber, gt(0)},
+               {"max_latency", &g.max_latency, kDuration, gt(0)},
+               {"max_utilization", &g.max_utilization, kNumber, gt(0)},
+               {"window", &g.mad_window, kCount, cc(2, 256)},
+               {"min_history", &g.min_history, kCount, ge(1)},
+               {"threshold", &g.mad_threshold, kNumber, gt(0)},
+               {"noise_floor", &g.mad_noise_floor, kNumber, ge(0)},
+               {"trust_decay", &g.trust_decay, kNumber, oc(0, 1)},
+               {"trust_recovery", &g.trust_recovery, kNumber, oc(0, 1)},
+               {"min_trust", &g.min_trust, kNumber, oc(0, 1)}});
       } else if (sub == "solver") {
         SolverGuardOptions& g = scenario.guard.solver;
         g.enabled = true;
-        for (std::size_t i = 2; i < tokens.size(); ++i) {
-          const auto kv = split_kv(tokens[i]);
-          if (!kv) fail(line_number, "expected key=value, got '" + tokens[i] + "'");
-          const auto& [key, value] = *kv;
-          if (key == "budget") {
-            g.wall_budget = parse_duration(value, line_number);
-          } else if (key == "enforce_budget") {
-            g.enforce_budget = parse_on_off(value, line_number, "enforce_budget");
-          } else if (key == "local_bias") {
-            g.split_local_bias = parse_number(value, line_number);
-            if (g.split_local_bias < 1.0) {
-              fail(line_number, "local_bias must be >= 1");
-            }
-          } else {
-            fail(line_number, "unknown guard solver attribute '" + key + "'");
-          }
-        }
+        attrs(2, "guard solver",
+              {{"budget", &g.wall_budget, kDuration},
+               {"enforce_budget", &g.enforce_budget, kOnOff},
+               {"local_bias", &g.split_local_bias, kNumber, ge(1)}});
       } else if (sub == "rollout") {
         RolloutOptions& g = scenario.guard.rollout;
         g.enabled = true;
-        for (std::size_t i = 2; i < tokens.size(); ++i) {
-          const auto kv = split_kv(tokens[i]);
-          if (!kv) fail(line_number, "expected key=value, got '" + tokens[i] + "'");
-          const auto& [key, value] = *kv;
-          if (key == "max_delta") {
-            g.max_weight_delta = parse_number(value, line_number);
-            if (g.max_weight_delta <= 0.0 || g.max_weight_delta > 1.0) {
-              fail(line_number, "max_delta must be in (0, 1]");
-            }
-          } else if (key == "canary") {
-            g.canary_periods = static_cast<std::size_t>(
-                parse_count(value, line_number, 1, "canary"));
-          } else if (key == "goodput_drop") {
-            g.goodput_drop = parse_number(value, line_number);
-            if (g.goodput_drop <= 0.0 || g.goodput_drop >= 1.0) {
-              fail(line_number, "goodput_drop must be in (0, 1)");
-            }
-          } else if (key == "p99_rise") {
-            g.p99_rise = parse_number(value, line_number);
-            if (g.p99_rise <= 0.0) fail(line_number, "p99_rise must be > 0");
-          } else if (key == "min_samples") {
-            g.min_samples = parse_count(value, line_number, 1, "min_samples");
-          } else if (key == "flap_threshold") {
-            g.flap_threshold = parse_number(value, line_number);
-            if (g.flap_threshold <= 0.0) {
-              fail(line_number, "flap_threshold must be > 0");
-            }
-          } else if (key == "flap_window") {
-            g.flap_window = static_cast<std::size_t>(
-                parse_count(value, line_number, 2, "flap_window"));
-          } else if (key == "freeze") {
-            g.freeze_periods = static_cast<std::size_t>(
-                parse_count(value, line_number, 1, "freeze"));
-          } else if (key == "damping_floor") {
-            g.damping_floor = parse_number(value, line_number);
-            if (g.damping_floor <= 0.0 || g.damping_floor > 1.0) {
-              fail(line_number, "damping_floor must be in (0, 1]");
-            }
-          } else {
-            fail(line_number, "unknown guard rollout attribute '" + key + "'");
-          }
-        }
+        attrs(2, "guard rollout",
+              {{"max_delta", &g.max_weight_delta, kNumber, oc(0, 1)},
+               {"canary", &g.canary_periods, kCount, ge(1)},
+               {"goodput_drop", &g.goodput_drop, kNumber, oo(0, 1)},
+               {"p99_rise", &g.p99_rise, kNumber, gt(0)},
+               {"min_samples", &g.min_samples, kCount, ge(1)},
+               {"flap_threshold", &g.flap_threshold, kNumber, gt(0)},
+               {"flap_window", &g.flap_window, kCount, ge(2)},
+               {"freeze", &g.freeze_periods, kCount, ge(1)},
+               {"damping_floor", &g.damping_floor, kNumber, oc(0, 1)}});
       } else {
         fail(line_number, "unknown guard kind '" + sub +
                               "' (expected admission, solver, rollout)");
@@ -1004,75 +864,30 @@ Scenario load_scenario(std::istream& input) {
       //   admission rate=<rps> [burst=<dur>] [slo=<dur>] [key=value...]
       //   admission class <name> [rate=<rps>] [slo=<dur>]
       need(2, "admission rate=<rps> [key=value...] | admission class <name> ...");
-      AdmissionPolicy& a = scenario.admission;
       if (tokens[1] == "class") {
         need(4, "admission class <name> [rate=<rps>] [slo=<dur>]");
         AdmissionClassDirective ad;
         ad.line = line_number;
         ad.cls = tokens[2];
-        for (std::size_t i = 3; i < tokens.size(); ++i) {
-          const auto kv = split_kv(tokens[i]);
-          if (!kv) fail(line_number, "expected key=value, got '" + tokens[i] + "'");
-          const auto& [key, value] = *kv;
-          if (key == "rate") {
-            ad.rate = parse_number(value, line_number);
-            if (ad.rate <= 0.0) fail(line_number, "rate must be > 0");
-          } else if (key == "slo") {
-            ad.slo = parse_duration(value, line_number);
-            if (ad.slo <= 0.0) fail(line_number, "slo must be > 0");
-          } else {
-            fail(line_number, "unknown admission class attribute '" + key + "'");
-          }
-        }
+        attrs(3, "admission class",
+              {{"rate", &ad.rate, kNumber, gt(0)},
+               {"slo", &ad.slo, kDuration, gt(0)}});
         admissions.push_back(std::move(ad));
       } else {
+        AdmissionPolicy& a = scenario.admission;
         a.enabled = true;
-        for (std::size_t i = 1; i < tokens.size(); ++i) {
-          const auto kv = split_kv(tokens[i]);
-          if (!kv) fail(line_number, "expected key=value, got '" + tokens[i] + "'");
-          const auto& [key, value] = *kv;
-          if (key == "rate") {
-            a.default_rate = parse_number(value, line_number);
-            if (a.default_rate <= 0.0) fail(line_number, "rate must be > 0");
-          } else if (key == "burst") {
-            a.burst = parse_duration(value, line_number);
-            if (a.burst <= 0.0) fail(line_number, "burst must be > 0");
-          } else if (key == "slo") {
-            a.default_slo = parse_duration(value, line_number);
-            if (a.default_slo <= 0.0) fail(line_number, "slo must be > 0");
-          } else if (key == "attainment") {
-            a.target_attainment = parse_number(value, line_number);
-            if (a.target_attainment <= 0.0 || a.target_attainment > 1.0) {
-              fail(line_number, "attainment must be in (0, 1]");
-            }
-          } else if (key == "gain") {
-            a.gain = parse_number(value, line_number);
-            if (a.gain <= 0.0 || a.gain >= 1.0) {
-              fail(line_number, "gain must be in (0, 1)");
-            }
-          } else if (key == "headroom") {
-            a.headroom = parse_number(value, line_number);
-            if (a.headroom < 1.0) fail(line_number, "headroom must be >= 1");
-          } else if (key == "fair_floor") {
-            a.fair_floor = parse_number(value, line_number);
-            if (a.fair_floor < 0.0 || a.fair_floor > 1.0) {
-              fail(line_number, "fair_floor must be in [0, 1]");
-            }
-          } else if (key == "evidence") {
-            a.evidence = static_cast<double>(
-                parse_count(value, line_number, 1, "evidence"));
-          } else if (key == "min_rate") {
-            a.min_rate = parse_number(value, line_number);
-            if (a.min_rate <= 0.0) fail(line_number, "min_rate must be > 0");
-          } else if (key == "max_rate") {
-            a.max_rate = parse_number(value, line_number);
-            if (a.max_rate <= 0.0) fail(line_number, "max_rate must be > 0");
-          } else if (key == "adapt") {
-            a.adapt = parse_on_off(value, line_number, "adapt");
-          } else {
-            fail(line_number, "unknown admission attribute '" + key + "'");
-          }
-        }
+        attrs(1, "admission",
+              {{"rate", &a.default_rate, kNumber, gt(0)},
+               {"burst", &a.burst, kDuration, gt(0)},
+               {"slo", &a.default_slo, kDuration, gt(0)},
+               {"attainment", &a.target_attainment, kNumber, oc(0, 1)},
+               {"gain", &a.gain, kNumber, oo(0, 1)},
+               {"headroom", &a.headroom, kNumber, ge(1)},
+               {"fair_floor", &a.fair_floor, kNumber, cc(0, 1)},
+               {"evidence", &a.evidence, kCount, ge(1)},
+               {"min_rate", &a.min_rate, kNumber, gt(0)},
+               {"max_rate", &a.max_rate, kNumber, gt(0)},
+               {"adapt", &a.adapt, kOnOff}});
         if (a.max_rate < a.min_rate) {
           fail(line_number, "admission needs min_rate <= max_rate");
         }
@@ -1082,35 +897,11 @@ Scenario load_scenario(std::istream& input) {
       // optional; the bare directive arms the defaults.
       ContingencyOptions& co = scenario.contingency;
       co.enabled = true;
-      for (std::size_t i = 1; i < tokens.size(); ++i) {
-        const auto kv = split_kv(tokens[i]);
-        if (!kv) fail(line_number, "expected key=value, got '" + tokens[i] + "'");
-        const auto& [key, value] = *kv;
-        if (key == "cap") {
-          co.max_post_failure_utilization = parse_number(value, line_number);
-          if (co.max_post_failure_utilization <= 0.0 ||
-              co.max_post_failure_utilization > 1.0) {
-            fail(line_number, "cap must be in (0, 1]");
-          }
-        } else if (key == "pad_step") {
-          co.pad_step = parse_number(value, line_number);
-          if (co.pad_step <= 0.0 || co.pad_step >= 1.0) {
-            fail(line_number, "pad_step must be in (0, 1)");
-          }
-        } else if (key == "min_cap") {
-          co.min_utilization = parse_number(value, line_number);
-          if (co.min_utilization <= 0.0 || co.min_utilization > 1.0) {
-            fail(line_number, "min_cap must be in (0, 1]");
-          }
-        } else if (key == "hysteresis") {
-          co.relax_hysteresis = parse_number(value, line_number);
-          if (co.relax_hysteresis < 0.0) {
-            fail(line_number, "hysteresis must be >= 0");
-          }
-        } else {
-          fail(line_number, "unknown contingency attribute '" + key + "'");
-        }
-      }
+      attrs(1, "contingency",
+            {{"cap", &co.max_post_failure_utilization, kNumber, oc(0, 1)},
+             {"pad_step", &co.pad_step, kNumber, oo(0, 1)},
+             {"min_cap", &co.min_utilization, kNumber, oc(0, 1)},
+             {"hysteresis", &co.relax_hysteresis, kNumber, ge(0)}});
       if (co.min_utilization > co.max_post_failure_utilization) {
         fail(line_number, "contingency needs min_cap <= cap");
       }
@@ -1121,34 +912,12 @@ Scenario load_scenario(std::istream& input) {
       DrainDirective dd;
       dd.line = line_number;
       dd.cluster = tokens[1];
-      if (tokens[2][0] != '@') {
-        fail(line_number, "expected @<start-time>, got '" + tokens[2] + "'");
-      }
-      dd.spec.start = parse_duration(tokens[2].substr(1), line_number);
-      bool has_over = false;
-      for (std::size_t i = 3; i < tokens.size(); ++i) {
-        const auto kv = split_kv(tokens[i]);
-        if (!kv) fail(line_number, "expected key=value, got '" + tokens[i] + "'");
-        const auto& [key, value] = *kv;
-        if (key == "over") {
-          dd.spec.over = parse_duration(value, line_number);
-          if (dd.spec.over <= 0.0) fail(line_number, "over must be > 0");
-          has_over = true;
-        } else if (key == "step") {
-          dd.spec.step = parse_number(value, line_number);
-          if (dd.spec.step <= 0.0 || dd.spec.step > 1.0) {
-            fail(line_number, "step must be in (0, 1]");
-          }
-        } else if (key == "sag") {
-          dd.spec.sag_threshold = parse_number(value, line_number);
-          if (dd.spec.sag_threshold <= 0.0 || dd.spec.sag_threshold >= 1.0) {
-            fail(line_number, "sag must be in (0, 1)");
-          }
-        } else {
-          fail(line_number, "unknown drain attribute '" + key + "'");
-        }
-      }
-      if (!has_over) fail(line_number, "drain requires over=<duration>");
+      dd.spec.start = parse_start(tokens[2], line_number);
+      attrs(3, "drain",
+            {{"over", &dd.spec.over, kDuration, gt(0), true},
+             {"step", &dd.spec.step, kNumber, oc(0, 1)},
+             {"sag", &dd.spec.sag_threshold, kNumber, oo(0, 1)}},
+            "drain requires over=<duration>");
       drains.push_back(std::move(dd));
     } else if (directive == "price") {
       // Per-cluster server pricing, the capacity half of the joint cost
@@ -1167,30 +936,11 @@ Scenario load_scenario(std::istream& input) {
       // Attributes are all optional; the bare directive arms the defaults.
       BilevelOptions& bo = scenario.bilevel;
       bo.enabled = true;
-      for (std::size_t i = 1; i < tokens.size(); ++i) {
-        const auto kv = split_kv(tokens[i]);
-        if (!kv) fail(line_number, "expected key=value, got '" + tokens[i] + "'");
-        const auto& [key, value] = *kv;
-        if (key == "horizon") {
-          bo.horizon = parse_duration(value, line_number);
-          if (bo.horizon <= 0.0) fail(line_number, "horizon must be > 0");
-        } else if (key == "ttl") {
-          bo.plan_ttl = parse_duration(value, line_number);
-          if (bo.plan_ttl <= 0.0) fail(line_number, "ttl must be > 0");
-        } else if (key == "weight") {
-          bo.server_cost_weight = parse_number(value, line_number);
-          if (bo.server_cost_weight < 0.0) {
-            fail(line_number, "weight must be >= 0");
-          }
-        } else if (key == "target") {
-          bo.price_target = parse_number(value, line_number);
-          if (bo.price_target <= 0.0 || bo.price_target >= 1.0) {
-            fail(line_number, "target must be in (0, 1)");
-          }
-        } else {
-          fail(line_number, "unknown bilevel attribute '" + key + "'");
-        }
-      }
+      attrs(1, "bilevel",
+            {{"horizon", &bo.horizon, kDuration, gt(0)},
+             {"ttl", &bo.plan_ttl, kDuration, gt(0)},
+             {"weight", &bo.server_cost_weight, kNumber, ge(0)},
+             {"target", &bo.price_target, kNumber, oo(0, 1)}});
     } else {
       fail(line_number, "unknown directive '" + directive + "'");
     }

@@ -35,6 +35,10 @@
 //                  The shard count only caps worker threads — the partition
 //                  and the schedule are island-determined, so every sharded
 //                  run of a config is byte-identical regardless of count.
+//                  A single-island run matches the legacy engine under
+//                  SLATE but not under Waterfall, whose load snapshot only
+//                  refreshes at global-event barriers when the lookahead is
+//                  infinite.
 #pragma once
 
 #include <array>

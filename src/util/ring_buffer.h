@@ -11,6 +11,7 @@
 #include <cassert>
 #include <cstddef>
 #include <memory>
+#include <new>
 #include <utility>
 
 namespace slate {
@@ -111,10 +112,19 @@ class RingBuffer {
         slots_.get() + physical_index * sizeof(T)));
   }
 
+  // Raw storage comes from the aligned operator new[]; it must go back
+  // through the matching aligned operator delete[].
+  struct AlignedDelete {
+    void operator()(unsigned char* p) const noexcept {
+      ::operator delete[](p, std::align_val_t{alignof(T)});
+    }
+  };
+  using Storage = std::unique_ptr<unsigned char[], AlignedDelete>;
+
   void grow() {
     const std::size_t new_capacity = capacity_ == 0 ? 8 : capacity_ * 2;
-    auto fresh = std::unique_ptr<unsigned char[]>(
-        new (std::align_val_t{alignof(T)}) unsigned char[new_capacity * sizeof(T)]);
+    Storage fresh(static_cast<unsigned char*>(::operator new[](
+        new_capacity * sizeof(T), std::align_val_t{alignof(T)})));
     for (std::size_t i = 0; i < size_; ++i) {
       T* from = ptr(physical(i));
       ::new (static_cast<void*>(fresh.get() + i * sizeof(T))) T(std::move(*from));
@@ -125,7 +135,7 @@ class RingBuffer {
     head_ = 0;
   }
 
-  std::unique_ptr<unsigned char[]> slots_;
+  Storage slots_;
   std::size_t capacity_ = 0;
   std::size_t head_ = 0;
   std::size_t size_ = 0;

@@ -15,6 +15,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "guard/report_validator.h"
 #include "net/gcp_topology.h"
@@ -997,6 +998,100 @@ TEST_P(FuzzTest, DrainRunsSatisfyConservationAndDeterminism) {
     EXPECT_EQ(a.drain_pause_periods, b.drain_pause_periods);
     EXPECT_EQ(a.contingency_evals, b.contingency_evals);
     EXPECT_EQ(a.contingency_resolves, b.contingency_resolves);
+  }
+}
+
+// Random key=value lines for the directive families the fuzzers above never
+// reach: known, unknown and repeated keys with values in range, on a
+// boundary, out of range, negative, malformed or in the wrong unit. A line
+// either fails with a line-numbered runtime_error, or the scenario loads
+// and a Simulation can be built from it; no other exception escapes.
+TEST_P(FuzzTest, AttributeDirectivesParseOrFailCleanly) {
+  const auto seed = static_cast<std::uint64_t>(31000 + GetParam());
+  Rng rng(seed);
+  const std::string base =
+      "cluster west\ncluster east\nrtt west east 20ms\n"
+      "service s\nservice t\nclass k\ncall k root s compute=1ms\n"
+      "deploy * * servers=1 capacity=200\ndemand k west 50\n";
+  // Each family: the directive head, its keys, and in-range values for some
+  // of them so that enough lines load to reach the Simulation.
+  struct Family {
+    const char* head;
+    std::vector<const char*> keys;
+    std::vector<const char*> good;
+  };
+  const std::vector<Family> families = {
+      {"guard admission",
+       {"max_rps", "max_latency", "max_utilization", "window", "min_history",
+        "threshold", "noise_floor", "trust_decay", "trust_recovery",
+        "min_trust"},
+       {"max_rps=500", "window=8", "threshold=4", "trust_decay=0.5"}},
+      {"guard solver",
+       {"budget", "enforce_budget", "local_bias"},
+       {"budget=50ms", "enforce_budget=on", "local_bias=1.5"}},
+      {"guard rollout",
+       {"max_delta", "canary", "goodput_drop", "p99_rise", "min_samples",
+        "flap_threshold", "flap_window", "freeze", "damping_floor"},
+       {"max_delta=0.2", "canary=2", "goodput_drop=0.3", "flap_window=4"}},
+      {"contingency",
+       {"cap", "pad_step", "min_cap", "hysteresis"},
+       {"cap=0.9", "pad_step=0.05", "min_cap=0.5", "hysteresis=0.01"}},
+      {"drain east @2s",
+       {"over", "step", "sag"},
+       {"over=4s", "step=0.25", "sag=0.8"}},
+      {"bilevel",
+       {"horizon", "ttl", "weight", "target"},
+       {"horizon=10s", "ttl=5s", "weight=0.5", "target=0.7"}},
+      {"fault campaign",
+       {"seed", "events", "start", "spacing", "mean_duration", "kinds"},
+       {"events=3", "seed=7", "spacing=2s", "kinds=outage,drain"}},
+      {"call k s t",
+       {"compute", "req", "resp", "mult", "label", "mode"},
+       {"compute=1ms", "req=1KB", "mult=0.5", "mode=par", "label=t2"}},
+      {"deploy t west",
+       {"servers", "capacity"},
+       {"servers=2", "capacity=150"}},
+  };
+  // In range, on a boundary, out of range, negative, malformed, wrong unit.
+  const std::vector<const char*> values = {
+      "1",  "2",   "0.5", "0.9", "256", "257", "0",  "1.0",      "-1",
+      "-0.5", "x", "",    "5ms", "2s",  "0s",  "-3s", "3parsecs", "2KB",
+      "on", "off", "maybe", "seq", "par", "outage,drain", "gray,meteor",
+      "30", "1.5"};
+
+  auto pick = [&](const auto& options) {
+    return std::string(options[rng.uniform_u64(options.size())]);
+  };
+  for (int line = 0; line < 24; ++line) {
+    const Family& family = families[rng.uniform_u64(families.size())];
+    std::string directive = family.head;
+    std::vector<std::string> keys;
+    const std::size_t extras = 1 + rng.uniform_u64(4);
+    for (std::size_t i = 0; i < extras; ++i) {
+      const double roll = rng.next_double();
+      std::string token;
+      if (roll < 0.1) {
+        token = "bogus=" + pick(values);
+      } else if (roll < 0.2 && !keys.empty()) {
+        token = keys[rng.uniform_u64(keys.size())] + "=" + pick(values);
+      } else if (roll < 0.6) {
+        token = pick(family.good);
+      } else {
+        token = pick(family.keys) + "=" + pick(values);
+      }
+      keys.push_back(token.substr(0, token.find('=')));
+      directive += " " + token;
+    }
+    const std::string text = base + directive + "\n";
+    try {
+      const Scenario s = load_scenario_from_string(text);
+      Simulation sim(s, RunConfig{});
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 10"), std::string::npos)
+          << directive << " -> " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "escaped: " << directive << " -> " << e.what();
+    }
   }
 }
 

@@ -1,6 +1,10 @@
 // Tests for the text scenario format.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <vector>
+
 #include "runtime/scenario_loader.h"
 #include "runtime/simulation.h"
 
@@ -609,19 +613,18 @@ TEST(ScenarioLoader, BadForecastDirectivesRejected) {
 }
 
 TEST(ScenarioLoader, SampleFilesParse) {
-  // The shipped sample scenarios must stay valid.
-  for (const char* path : {"examples/scenarios/two_cluster_overload.slate",
-                           "examples/scenarios/burst.slate",
-                           "examples/scenarios/anomaly_detection.slate",
-                           "examples/scenarios/cluster_outage.slate",
-                           "examples/scenarios/metastable_burst.slate",
-                           "examples/scenarios/controller_chaos.slate",
-                           "examples/scenarios/diurnal_predictive.slate",
-                           "examples/scenarios/region_evacuation.slate"}) {
-    SCOPED_TRACE(path);
-    std::string full = std::string(SLATE_SOURCE_DIR) + "/" + path;
+  // Every shipped sample scenario must stay valid.
+  std::vector<std::filesystem::path> paths;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::path(SLATE_SOURCE_DIR) / "examples/scenarios")) {
+    if (entry.path().extension() == ".slate") paths.push_back(entry.path());
+  }
+  std::sort(paths.begin(), paths.end());
+  ASSERT_GE(paths.size(), 11u);
+  for (const auto& path : paths) {
+    SCOPED_TRACE(path.string());
     EXPECT_NO_THROW({
-      const Scenario s = load_scenario_from_file(full);
+      const Scenario s = load_scenario_from_file(path.string());
       s.app->validate();
       s.deployment->validate();
     });
@@ -733,6 +736,69 @@ TEST(ScenarioLoader, BadCampaignDirectivesRejected) {
       "deploy * * servers=1 capacity=100\ndemand k solo 5\n"
       "fault campaign events=2 kinds=partition\n",
       "line 7");
+}
+
+// --- Attribute rules shared by every directive ------------------------------
+
+TEST(ScenarioLoader, RepeatedAttributeKeysRejected) {
+  const std::string base = kFaultBase;  // 9 content lines; directive is line 10
+  expect_error(base + "contingency cap=0.5 cap=0.9\n",
+               "line 10: duplicate contingency attribute 'cap'");
+  expect_error(base + "guard rollout canary=2 max_delta=0.5 canary=3\n",
+               "line 10: duplicate guard rollout attribute 'canary'");
+  expect_error(base + "drain east @5s over=4s over=6s\n",
+               "line 10: duplicate drain attribute 'over'");
+  expect_error(base + "fault link west east @1s 2s factor=2 factor=3\n",
+               "line 10: duplicate fault link attribute 'factor'");
+  expect_error(base + "admission rate=100 slo=1s rate=200\n",
+               "line 10: duplicate admission attribute 'rate'");
+  expect_error(base + "bilevel ttl=5s ttl=5s\n",
+               "line 10: duplicate bilevel attribute 'ttl'");
+  expect_error(base + "fault campaign events=2 seed=1 seed=2\n",
+               "line 10: duplicate campaign attribute 'seed'");
+  expect_error(
+      "cluster a\nservice s\nclass k\n"
+      "call k root s compute=1ms compute=2ms\n",
+      "line 4: duplicate call attribute 'compute'");
+  expect_error("cluster a\nservice s\nundeploy s a servers=1 servers=2\n",
+               "line 3: duplicate deploy attribute 'servers'");
+}
+
+TEST(ScenarioLoader, AttributeBoundsAndCountsRejected) {
+  const std::string base = kFaultBase;
+  expect_error(base + "guard admission window=1\n",
+               "window must be >= 2, got '1'");
+  expect_error(base + "guard admission window=257\n", "window must be <= 256");
+  expect_error(base + "guard rollout canary=inf\n",
+               "canary must be an integer, got 'inf'");
+  expect_error(base + "bilevel target=1\n", "target must be in (0, 1)");
+  expect_error(base + "forecast ewma hw_gamma=-0.5\n",
+               "hw_gamma must be in [0, 1]");
+  expect_error(base + "overload queue priority_shedding=yes\n",
+               "priority_shedding must be on or off, got 'yes'");
+  // The call graph needs a positive multiplicity; the loader says so.
+  expect_error(
+      "cluster a\nservice s\nservice t\nclass k\n"
+      "call k root s compute=1ms\ncall k s t mult=0\n",
+      "line 6: mult must be > 0");
+  // Tokens are checked in order: the first bad token names the error.
+  expect_error(base + "fault corrupt west @1s 2s factor=0.5 bogus=1\n",
+               "corrupt factor must be > 1");
+  expect_error(base + "fault corrupt west @1s 2s bogus=1 factor=0.5\n",
+               "unknown fault corrupt attribute 'bogus'");
+}
+
+TEST(ScenarioLoader, BoundaryValuesAccepted) {
+  const Scenario s = load_scenario_from_string(
+      std::string(kFaultBase) +
+      "contingency cap=1 min_cap=1 hysteresis=0\n"
+      "guard admission window=256 noise_floor=0\n"
+      "forecast holtwinters hw_beta=0 hw_gamma=1 min_history=0\n");
+  EXPECT_DOUBLE_EQ(s.contingency.max_post_failure_utilization, 1.0);
+  EXPECT_DOUBLE_EQ(s.contingency.min_utilization, 1.0);
+  EXPECT_EQ(s.guard.admission.mad_window, 256u);
+  EXPECT_DOUBLE_EQ(s.forecast.hw_beta, 0.0);
+  EXPECT_EQ(s.forecast.min_history, 0u);
 }
 
 }  // namespace

@@ -386,9 +386,10 @@ TEST(ShardedSimulation, IdentityBilevelArmed) {
 
 TEST(ShardedSimulation, SingleIslandShardedMatchesLegacyExactly) {
   // One island (a single-cluster scenario collapses the partition): the
-  // sharded engine degenerates to one LP with an infinite window, and the
-  // schedule — including every routing draw — matches the legacy engine
-  // bit for bit.
+  // sharded engine degenerates to one LP with an infinite window, and under
+  // SLATE the schedule — including every routing draw — matches the legacy
+  // engine bit for bit. Waterfall does not match: its load snapshot only
+  // refreshes at global-event barriers (docs/performance.md).
   TwoClusterChainParams params;
   params.rtt = 0.0;  // zero latency: both clusters share one island
   const Scenario scenario = make_two_cluster_chain_scenario(params);

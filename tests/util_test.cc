@@ -1,13 +1,17 @@
-// Unit tests for src/util: ids, rng, stats, histogram, matrix, strfmt.
+// Unit tests for src/util: ids, rng, stats, histogram, matrix, strfmt,
+// ring buffer.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <sstream>
 #include <unordered_set>
 
 #include "util/histogram.h"
 #include "util/ids.h"
 #include "util/matrix.h"
+#include "util/ring_buffer.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/strfmt.h"
@@ -379,6 +383,57 @@ TEST(Strfmt, Formats) {
   // Long output beyond any small-string buffer.
   const std::string long_out = strfmt("%0200d", 7);
   EXPECT_EQ(long_out.size(), 200u);
+}
+
+// --- RingBuffer -------------------------------------------------------------
+
+TEST(RingBuffer, FifoAcrossWrapAroundAndGrowth) {
+  RingBuffer<double> ring;
+  double next_in = 0.0, next_out = 0.0;
+  // Keep the head moving so the live range wraps the backing array before
+  // each growth step (capacity 8 -> 16 -> 32).
+  for (int round = 0; round < 20; ++round) {
+    for (int i = 0; i < 3; ++i) ring.push_back(next_in++);
+    ASSERT_EQ(ring.pop_front(), next_out++);
+  }
+  ASSERT_EQ(ring.size(), 40u);
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    EXPECT_EQ(ring[i], next_out + static_cast<double>(i));
+  }
+  EXPECT_EQ(ring.erase(5), next_out + 5);
+  while (!ring.empty()) {
+    if (next_out == 25.0) ++next_out;  // the erased element
+    EXPECT_EQ(ring.pop_front(), next_out++);
+  }
+  EXPECT_EQ(next_out, next_in);
+}
+
+TEST(RingBuffer, DestroysEveryElementExactlyOnce) {
+  auto token = std::make_shared<int>(0);
+  {
+    RingBuffer<std::shared_ptr<int>> ring;
+    for (int i = 0; i < 20; ++i) ring.push_back(token);  // grows twice
+    EXPECT_EQ(token.use_count(), 21);
+    ring.pop_front();
+    ring.erase(3);
+    EXPECT_EQ(token.use_count(), 19);
+    RingBuffer<std::shared_ptr<int>> moved(std::move(ring));
+    EXPECT_EQ(token.use_count(), 19);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(RingBuffer, OverAlignedElements) {
+  struct alignas(64) Line {
+    double value;
+  };
+  RingBuffer<Line> ring;
+  for (int i = 0; i < 20; ++i) {
+    ring.push_back(Line{static_cast<double>(i)});
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&ring[ring.size() - 1]) % 64,
+              0u);
+  }
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(ring.pop_front().value, i);
 }
 
 }  // namespace
