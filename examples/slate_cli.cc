@@ -67,6 +67,7 @@
 #include <iterator>
 #include <stdexcept>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "runtime/parallel.h"
@@ -121,6 +122,64 @@ constexpr Disarm kDisarms[] = {
     {"--no-drains", [](Scenario& s) { s.drains.clear(); }},
     {"--no-bilevel", [](Scenario& s) { s.bilevel = BilevelOptions{}; }},
 };
+
+// Appends `v` to a summary line; returns whether it is off `initial` (for
+// vectors: whether any entry is nonzero).
+bool append_value(std::uint64_t v, std::uint64_t initial, std::string& line) {
+  line += std::to_string(v);
+  return v != initial;
+}
+
+bool append_value(double v, double initial, std::string& line) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.6g", v);
+  line += buf;
+  return v != initial;
+}
+
+bool append_value(const std::vector<std::uint64_t>& v,
+                  const std::vector<std::uint64_t>&, std::string& line) {
+  bool set = false;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i > 0) line += ',';
+    line += std::to_string(v[i]);
+    set = set || v[i] != 0;
+  }
+  return set;
+}
+
+// The counter summary: one line per family (wall-clock rows apart) that has
+// a row off its initializer, listing every row of the family in table order.
+void print_counters(const ExperimentResult& r) {
+  static const ExperimentResult kInitial;
+  std::string line;
+  bool set = false;
+  const std::size_t n = std::size(kResultCounters);
+  for (std::size_t i = 0; i < n; ++i) {
+    const CounterRow& row = kResultCounters[i];
+    line += ' ';
+    line += row.name;
+    line += '=';
+    const bool row_set = std::visit(
+        [&](auto member) {
+          return append_value(r.*member, kInitial.*member, line);
+        },
+        row.member);
+    set = set || row_set;
+    const bool last_of_group =
+        i + 1 == n ||
+        std::strcmp(kResultCounters[i + 1].family, row.family) != 0 ||
+        kResultCounters[i + 1].clock != row.clock;
+    if (!last_of_group) continue;
+    if (set) {
+      std::printf("  %-11s%s%s\n", row.family,
+                  row.clock == CounterClock::kWallClock ? " wall-clock" : "",
+                  line.c_str());
+    }
+    line.clear();
+    set = false;
+  }
+}
 
 }  // namespace
 
@@ -382,153 +441,33 @@ int main(int argc, char** argv) {
                 r.e2e_by_class[k.index()].mean() * 1e3,
                 r.e2e_by_class[k.index()].count());
   }
-  if (r.failed > 0 || r.fault_transitions > 0) {
-    std::printf(
-        "  faults   %llu failed (%.2f%% error rate), goodput %.1f rps, "
-        "%llu timeouts / %llu retries / %llu rejections\n",
-        static_cast<unsigned long long>(r.failed), r.error_rate() * 100.0,
-        r.goodput_rps(), static_cast<unsigned long long>(r.call_timeouts),
-        static_cast<unsigned long long>(r.call_retries),
-        static_cast<unsigned long long>(r.call_rejections));
-  }
-  if (r.call_retries + r.call_timeouts + r.retry_budget_denials > 0) {
-    for (ClassId k : scenario.app->all_classes()) {
-      const std::size_t i = k.index();
-      if (r.call_retries_by_class[i] + r.call_timeouts_by_class[i] +
-              r.retry_budget_denials_by_class[i] ==
-          0) {
-        continue;
-      }
-      std::printf(
-          "  class %-12s %llu retries / %llu timeouts / %llu budget denials\n",
-          scenario.app->traffic_class(k).name.c_str(),
-          static_cast<unsigned long long>(r.call_retries_by_class[i]),
-          static_cast<unsigned long long>(r.call_timeouts_by_class[i]),
-          static_cast<unsigned long long>(r.retry_budget_denials_by_class[i]));
-    }
-  }
-  if (r.total_shed() + r.deadline_cancellations + r.breaker_ejections > 0) {
-    std::printf(
-        "  overload %llu shed (%llu full / %llu delay / %llu evicted), "
-        "%llu deadline cancellations, %llu breaker ejections\n",
-        static_cast<unsigned long long>(r.total_shed()),
-        static_cast<unsigned long long>(r.shed_queue_full),
-        static_cast<unsigned long long>(r.shed_queue_delay),
-        static_cast<unsigned long long>(r.shed_evictions),
-        static_cast<unsigned long long>(r.deadline_cancellations),
-        static_cast<unsigned long long>(r.breaker_ejections));
-    if (r.wasted_server_seconds > 0.0) {
-      std::printf("  overload %.3f wasted server-seconds (expired work served)\n",
-                  r.wasted_server_seconds);
-    }
-  }
-  if (r.admission_admitted + r.admission_rejected > 0) {
-    std::printf(
-        "  admission %llu admitted / %llu rejected at ingress "
-        "(%llu adapt rounds: %llu raises / %llu cuts / %llu floor raises"
-        " / %llu forecast widenings)\n",
-        static_cast<unsigned long long>(r.admission_admitted),
-        static_cast<unsigned long long>(r.admission_rejected),
-        static_cast<unsigned long long>(r.admission_adapt_rounds),
-        static_cast<unsigned long long>(r.admission_rate_raises),
-        static_cast<unsigned long long>(r.admission_rate_cuts),
-        static_cast<unsigned long long>(r.admission_floor_raises),
-        static_cast<unsigned long long>(r.admission_forecast_widenings));
-    for (ClassId k : scenario.app->all_classes()) {
-      const std::size_t i = k.index();
-      const std::uint64_t offered =
-          r.admission_admitted_by_class[i] + r.admission_rejected_by_class[i];
-      if (offered == 0) continue;
-      const std::size_t done = r.e2e_by_class[i].count();
-      const double attainment =
-          done > 0 ? static_cast<double>(r.slo_hits_by_class[i]) /
-                         static_cast<double>(done)
-                   : 0.0;
-      std::printf(
-          "  class %-12s %llu admitted / %llu rejected, goodput %.1f rps, "
-          "SLO attainment %.1f%%\n",
-          scenario.app->traffic_class(k).name.c_str(),
-          static_cast<unsigned long long>(r.admission_admitted_by_class[i]),
-          static_cast<unsigned long long>(r.admission_rejected_by_class[i]),
-          r.measured_seconds > 0.0
-              ? static_cast<double>(done) / r.measured_seconds
-              : 0.0,
-          attainment * 100.0);
-    }
-  }
-  if (r.guard_fields_rejected + r.guard_spikes_clamped + r.solver_fallbacks +
-          r.solver_holds + r.rollout_rollbacks + r.rollout_flap_freezes +
-          r.rollout_damped_pushes + r.stale_rule_pushes >
-      0) {
-    std::printf(
-        "  guard    %llu fields rejected / %llu spikes clamped "
-        "(%llu interpolated)\n",
-        static_cast<unsigned long long>(r.guard_fields_rejected),
-        static_cast<unsigned long long>(r.guard_spikes_clamped),
-        static_cast<unsigned long long>(r.guard_interpolations));
-    std::printf(
-        "  guard    %llu solver fallbacks, %llu holds; rollout %llu rollbacks "
-        "/ %llu flap freezes / %llu damped pushes, %llu stale pushes dropped\n",
-        static_cast<unsigned long long>(r.solver_fallbacks),
-        static_cast<unsigned long long>(r.solver_holds),
-        static_cast<unsigned long long>(r.rollout_rollbacks),
-        static_cast<unsigned long long>(r.rollout_flap_freezes),
-        static_cast<unsigned long long>(r.rollout_damped_pushes),
-        static_cast<unsigned long long>(r.stale_rule_pushes));
-  }
-  if (r.solver_solves > 0) {
-    std::printf(
-        "  solver   %llu solves, mean %.2f ms / max %.2f ms wall\n"
-        "  solver   arms: %llu exact-warm / %llu exact-cold / %llu fast / "
-        "%llu split / %llu hold\n",
-        static_cast<unsigned long long>(r.solver_solves),
-        r.mean_solve_seconds() * 1e3, r.solver_max_seconds * 1e3,
-        static_cast<unsigned long long>(r.solver_exact_warm),
-        static_cast<unsigned long long>(r.solver_exact_cold),
-        static_cast<unsigned long long>(r.solver_arm_fast),
-        static_cast<unsigned long long>(r.solver_arm_split),
-        static_cast<unsigned long long>(r.solver_arm_hold));
-  }
+  print_counters(r);
+  std::printf("  %-11s error_rate=%.2f%% goodput_rps=%.1f", "derived",
+              r.error_rate() * 100.0, r.goodput_rps());
   if (r.rule_delta_count > 0) {
-    std::printf("  rules    %llu pushes, mean successive L1 delta %.3f\n",
-                static_cast<unsigned long long>(r.rule_pushes),
-                r.mean_rule_delta());
+    std::printf(" mean_rule_delta=%.3f", r.mean_rule_delta());
   }
-  if (r.contingency_evals > 0) {
-    std::printf(
-        "  contingency %llu margin checks / %llu padded re-solves, "
-        "margin last %.3f / worst %.3f, pad level %llu\n",
-        static_cast<unsigned long long>(r.contingency_evals),
-        static_cast<unsigned long long>(r.contingency_resolves),
-        r.contingency_margin_last, r.contingency_margin_worst,
-        static_cast<unsigned long long>(r.contingency_pad_level));
+  std::printf("\n");
+  if (r.solver_solves > 0) {
+    std::printf("  %-11s wall-clock mean_solve_ms=%.2f\n", "derived",
+                r.mean_solve_seconds() * 1e3);
   }
-  if (r.drains_started + r.drains_cancelled > 0) {
-    std::printf(
-        "  drains   %llu started / %llu completed / %llu cancelled by outage, "
-        "%llu steps, %llu pause periods on goodput sag\n",
-        static_cast<unsigned long long>(r.drains_started),
-        static_cast<unsigned long long>(r.drains_completed),
-        static_cast<unsigned long long>(r.drains_cancelled),
-        static_cast<unsigned long long>(r.drain_steps),
-        static_cast<unsigned long long>(r.drain_pause_periods));
-  }
-  if (r.forecast_solves > 0) {
-    std::printf(
-        "  forecast %llu predictive solves, mean sMAPE %.3f, "
-        "mean confidence %.2f\n",
-        static_cast<unsigned long long>(r.forecast_solves),
-        r.forecast_mean_smape, r.forecast_mean_confidence);
-  }
-  if (r.autoscaler_scale_ups + r.autoscaler_scale_downs > 0) {
-    std::printf("  autoscaler: %llu up / %llu down\n",
-                static_cast<unsigned long long>(r.autoscaler_scale_ups),
-                static_cast<unsigned long long>(r.autoscaler_scale_downs));
-  }
-  if (r.bilevel_plans_pushed > 0) {
-    std::printf("  bilevel: %llu plans pushed down, %llu capacity overrides\n",
-                static_cast<unsigned long long>(r.bilevel_plans_pushed),
-                static_cast<unsigned long long>(r.bilevel_capacity_overrides));
+  // Per-class SLO attainment under front-door admission.
+  for (ClassId k : scenario.app->all_classes()) {
+    const std::size_t i = k.index();
+    if (r.admission_admitted_by_class[i] + r.admission_rejected_by_class[i] ==
+        0) {
+      continue;
+    }
+    const std::size_t done = r.e2e_by_class[i].count();
+    std::printf("  class %-12s SLO attainment %.1f%%, goodput %.1f rps\n",
+                scenario.app->traffic_class(k).name.c_str(),
+                done > 0 ? 100.0 * static_cast<double>(r.slo_hits_by_class[i]) /
+                               static_cast<double>(done)
+                         : 0.0,
+                r.measured_seconds > 0.0
+                    ? static_cast<double>(done) / r.measured_seconds
+                    : 0.0);
   }
   if (print_cdf) {
     std::printf("\n  %-8s %12s\n", "quantile", "latency_ms");

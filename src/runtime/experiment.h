@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "admission/admission_policy.h"
@@ -191,97 +193,194 @@ struct DemandTracePoint {
   double forecast_rps = 0.0;
 };
 
+// How a result counter is stored and shaped: a scalar, or a vector of
+// per-class (index = class id) or per-timeseries-bucket counts.
+enum class CounterKind { kU64, kF64, kPerClass, kPerBucket };
+
+// How two partial results of one run combine (island merge): add, keep the
+// larger, or take the incoming value.
+enum class MergeRule { kSum, kMax, kLast };
+
+// Deterministic rows are a pure function of (scenario, config, seed) and
+// identical across --jobs and --shards; wall-clock rows measure host time.
+enum class CounterClock { kDeterministic, kWallClock };
+
+template <CounterKind K>
+using CounterType = std::conditional_t<
+    K == CounterKind::kU64, std::uint64_t,
+    std::conditional_t<K == CounterKind::kF64, double,
+                       std::vector<std::uint64_t>>>;
+
+// Every numeric counter of ExperimentResult, declared once:
+//   X(kind, name, initial value, unit, merge rule, clock, family)
+// The list expands to the public members below and to kResultCounters,
+// which result shaping, the island merge, the identity tests and the
+// slate_cli summary iterate. Rows of one family stay contiguous. Counters
+// are whole-run unless marked measured (post-warmup window only).
+#define SLATE_RESULT_COUNTERS(X)                                               \
+  /* Arrivals in the full run; successes and errors (exhausted retries,        \
+     timeout, fault rejection) inside the measured window. */                  \
+  X(U64, generated, 0, "requests", kSum, kDeterministic, requests)             \
+  X(U64, completed, 0, "requests", kSum, kDeterministic, requests)             \
+  X(U64, failed, 0, "requests", kSum, kDeterministic, requests)                \
+  X(PerClass, failed_by_class, {}, "requests", kSum, kDeterministic, requests) \
+  /* Data-plane failure handling. */                                           \
+  X(U64, call_retries, 0, "attempts", kSum, kDeterministic, faults)            \
+  X(U64, call_timeouts, 0, "attempts", kSum, kDeterministic, faults)           \
+  /* Attempts refused by a down cluster. */                                    \
+  X(U64, call_rejections, 0, "attempts", kSum, kDeterministic, faults)         \
+  /* Retries suppressed by the retry budget. */                                \
+  X(U64, retry_budget_denials, 0, "attempts", kSum, kDeterministic, faults)    \
+  /* Injector activations + clearings. */                                      \
+  X(U64, fault_transitions, 0, "transitions", kSum, kDeterministic, faults)    \
+  X(PerClass, call_retries_by_class, {}, "attempts", kSum, kDeterministic,     \
+    faults)                                                                    \
+  X(PerClass, call_timeouts_by_class, {}, "attempts", kSum, kDeterministic,    \
+    faults)                                                                    \
+  X(PerClass, retry_budget_denials_by_class, {}, "attempts", kSum,             \
+    kDeterministic, faults)                                                    \
+  /* Overload control: arrivals refused by a full queue or the CoDel           \
+     shedder, queued jobs evicted by higher priority, work cancelled past      \
+     its deadline (at call issue, admission or dispatch), breaker trips. */    \
+  X(U64, shed_queue_full, 0, "jobs", kSum, kDeterministic, overload)           \
+  X(U64, shed_queue_delay, 0, "jobs", kSum, kDeterministic, overload)          \
+  X(U64, shed_evictions, 0, "jobs", kSum, kDeterministic, overload)            \
+  X(U64, deadline_cancellations, 0, "calls", kSum, kDeterministic, overload)   \
+  X(U64, breaker_ejections, 0, "trips", kSum, kDeterministic, overload)        \
+  /* Server time burned on jobs already past their deadline at dispatch:       \
+     >0 only when deadlines are carried without propagation. */                \
+  X(F64, wasted_server_seconds, 0.0, "server-s", kSum, kDeterministic,         \
+    overload)                                                                  \
+  /* Front-door admission. When armed every arrival is gated before any        \
+     call-tree work (generated = admitted + rejected) and rejections           \
+     complete synchronously as fast-fail errors. slo_hits_by_class counts      \
+     measured successes inside their class SLO: attainment is                  \
+     slo_hits_by_class[k] / e2e_by_class[k].count(). */                        \
+  X(U64, admission_admitted, 0, "requests", kSum, kDeterministic, admission)   \
+  X(U64, admission_rejected, 0, "requests", kSum, kDeterministic, admission)   \
+  X(PerClass, admission_admitted_by_class, {}, "requests", kSum,               \
+    kDeterministic, admission)                                                 \
+  X(PerClass, admission_rejected_by_class, {}, "requests", kSum,               \
+    kDeterministic, admission)                                                 \
+  X(PerClass, slo_hits_by_class, {}, "requests", kSum, kDeterministic,         \
+    admission)                                                                 \
+  X(U64, admission_adapt_rounds, 0, "periods", kSum, kDeterministic,           \
+    admission)                                                                 \
+  X(U64, admission_rate_raises, 0, "steps", kSum, kDeterministic, admission)   \
+  X(U64, admission_rate_cuts, 0, "steps", kSum, kDeterministic, admission)     \
+  X(U64, admission_floor_raises, 0, "steps", kSum, kDeterministic, admission)  \
+  X(U64, admission_forecast_widenings, 0, "steps", kSum, kDeterministic,       \
+    admission)                                                                 \
+  /* Station-level job conservation, summed over stations at run end:          \
+     jobs_submitted = jobs_served + jobs_cancelled + jobs_evicted +            \
+     jobs_in_flight_at_end (jobs_shed were refused, never admitted). */        \
+  X(U64, jobs_submitted, 0, "jobs", kSum, kDeterministic, jobs)                \
+  X(U64, jobs_served, 0, "jobs", kSum, kDeterministic, jobs)                   \
+  X(U64, jobs_cancelled, 0, "jobs", kSum, kDeterministic, jobs)                \
+  X(U64, jobs_evicted, 0, "jobs", kSum, kDeterministic, jobs)                  \
+  X(U64, jobs_shed, 0, "jobs", kSum, kDeterministic, jobs)                     \
+  X(U64, jobs_in_flight_at_end, 0, "jobs", kSum, kDeterministic, jobs)         \
+  /* Measured egress. */                                                       \
+  X(U64, egress_bytes, 0, "bytes", kSum, kDeterministic, egress)               \
+  X(U64, local_bytes, 0, "bytes", kSum, kDeterministic, egress)                \
+  X(F64, egress_cost_dollars, 0.0, "usd", kSum, kDeterministic, egress)        \
+  /* Measured provisioned capacity: the integral of servers() summed over      \
+     stations, and its cost at each cluster's $/server-hour price (0 with      \
+     no prices set). Pure bookkeeping, no simulation events. */                \
+  X(F64, server_seconds, 0.0, "server-s", kSum, kDeterministic, servers)       \
+  X(F64, server_cost_dollars, 0.0, "usd", kSum, kDeterministic, servers)       \
+  /* Bi-level co-design: overlay cells that differ from the live view,         \
+     periods whose plan was pushed down to the autoscalers. */                 \
+  X(U64, bilevel_capacity_overrides, 0, "cells", kSum, kDeterministic,         \
+    bilevel)                                                                   \
+  X(U64, bilevel_plans_pushed, 0, "periods", kSum, kDeterministic, bilevel)    \
+  /* SLATE control plane (zero for baselines). rule_delta_* is the churn       \
+     signal: the L1 distance between successive actuated rule sets per         \
+     control period; held periods (canary, solver hold, flap freeze) count     \
+     with zero movement, so the mean is churn per unit time. */                \
+  X(U64, controller_rounds, 0, "periods", kSum, kDeterministic, controller)    \
+  X(U64, controller_reverts, 0, "periods", kSum, kDeterministic, controller)   \
+  X(U64, rule_pushes, 0, "pushes", kSum, kDeterministic, controller)           \
+  X(F64, rule_delta_sum, 0.0, "l1", kSum, kDeterministic, controller)          \
+  X(U64, rule_delta_count, 0, "periods", kSum, kDeterministic, controller)     \
+  /* Telemetry admission (docs/control_plane.md): poisoned fields, MAD-gate    \
+     clamps, last-good substitutions. */                                       \
+  X(U64, guard_fields_rejected, 0, "fields", kSum, kDeterministic, guard)      \
+  X(U64, guard_spikes_clamped, 0, "fields", kSum, kDeterministic, guard)       \
+  X(U64, guard_interpolations, 0, "fields", kSum, kDeterministic, guard)       \
+  /* Solver ladder: solves settled below rung 0, periods held with no          \
+     usable plan, periods skipped by the resolve_tolerance gate (demand        \
+     flat; rules held with zero churn), then solves per arm (SolveTelemetry    \
+     in core/global_controller.h). */                                          \
+  X(U64, solver_fallbacks, 0, "solves", kSum, kDeterministic, solver)          \
+  X(U64, solver_holds, 0, "periods", kSum, kDeterministic, solver)             \
+  X(U64, solver_resolve_skips, 0, "periods", kSum, kDeterministic, solver)     \
+  X(U64, solver_solves, 0, "solves", kSum, kDeterministic, solver)             \
+  X(U64, solver_exact_cold, 0, "solves", kSum, kDeterministic, solver)         \
+  X(U64, solver_exact_warm, 0, "solves", kSum, kDeterministic, solver)         \
+  X(U64, solver_arm_fast, 0, "solves", kSum, kDeterministic, solver)           \
+  X(U64, solver_arm_split, 0, "solves", kSum, kDeterministic, solver)          \
+  X(U64, solver_arm_hold, 0, "periods", kSum, kDeterministic, solver)          \
+  /* Solver wall time: measured, never fed back into plan selection. */        \
+  X(F64, solver_last_seconds, 0.0, "s", kLast, kWallClock, solver)             \
+  X(F64, solver_max_seconds, 0.0, "s", kMax, kWallClock, solver)               \
+  X(F64, solver_total_seconds, 0.0, "s", kSum, kWallClock, solver)             \
+  /* Rule rollout: canary reverts, flap-detector freezes, pushes clipped by    \
+     the delta cap, epoch-stale pushes discarded. */                           \
+  X(U64, rollout_rollbacks, 0, "pushes", kSum, kDeterministic, rollout)        \
+  X(U64, rollout_flap_freezes, 0, "periods", kSum, kDeterministic, rollout)    \
+  X(U64, rollout_damped_pushes, 0, "pushes", kSum, kDeterministic, rollout)    \
+  X(U64, stale_rule_pushes, 0, "pushes", kSum, kDeterministic, rollout)        \
+  /* N-1 contingency planning (docs/resilience.md). A margin is the worst      \
+     post-failure max station utilization if the worst single cluster          \
+     failed now and its traffic rerouted along the failover rules. */          \
+  X(U64, contingency_evals, 0, "periods", kSum, kDeterministic, contingency)   \
+  X(U64, contingency_resolves, 0, "solves", kSum, kDeterministic,              \
+    contingency)                                                               \
+  X(F64, contingency_margin_last, 0.0, "utilization", kLast, kDeterministic,   \
+    contingency)                                                               \
+  X(F64, contingency_margin_worst, 0.0, "utilization", kMax, kDeterministic,   \
+    contingency)                                                               \
+  X(U64, contingency_pad_level, 0, "level", kLast, kDeterministic,             \
+    contingency)                                                               \
+  /* Coordinated drains: cancelled = overlapped by an outage; pause periods    \
+     = steps held on goodput sag. */                                           \
+  X(U64, drains_started, 0, "drains", kSum, kDeterministic, drains)            \
+  X(U64, drains_completed, 0, "drains", kSum, kDeterministic, drains)          \
+  X(U64, drains_cancelled, 0, "drains", kSum, kDeterministic, drains)          \
+  X(U64, drain_pause_periods, 0, "periods", kSum, kDeterministic, drains)      \
+  X(U64, drain_steps, 0, "steps", kSum, kDeterministic, drains)                \
+  /* Forecasting (docs/forecasting.md): optimizations fed forecast demand,     \
+     rolling backtest sMAPE in [0, 2] (-1 with forecasting off), mean blend    \
+     weight across cells. */                                                   \
+  X(U64, forecast_solves, 0, "solves", kSum, kDeterministic, forecast)         \
+  X(F64, forecast_mean_smape, -1.0, "ratio", kLast, kDeterministic, forecast)  \
+  X(F64, forecast_mean_confidence, 0.0, "ratio", kLast, kDeterministic,        \
+    forecast)                                                                  \
+  X(U64, autoscaler_scale_ups, 0, "steps", kSum, kDeterministic, autoscaler)   \
+  X(U64, autoscaler_scale_downs, 0, "steps", kSum, kDeterministic,             \
+    autoscaler)                                                                \
+  /* Whole-run successes/errors per series_bucket-second bucket (empty         \
+     with the timeseries off); index i covers [i, i+1) * series_bucket. */     \
+  X(PerBucket, completed_series, {}, "requests", kSum, kDeterministic,         \
+    series)                                                                    \
+  X(PerBucket, failed_series, {}, "requests", kSum, kDeterministic, series)    \
+  /* Discrete events executed over the whole run: the engine's work unit       \
+     (bench/micro_simulator). */                                               \
+  X(U64, sim_events, 0, "events", kSum, kDeterministic, run)                   \
+  X(F64, measured_seconds, 0.0, "s", kLast, kDeterministic, run)
+
 struct ExperimentResult {
   std::string scenario;
   std::string policy;
 
-  std::uint64_t generated = 0;  // arrivals in the full run
-  // Successful completions inside the measurement window. With failure
-  // semantics disabled and no faults every finished request lands here.
-  std::uint64_t completed = 0;
-  // Requests that finished with an error (exhausted retries, timeout, or a
-  // fault rejection) inside the measurement window.
-  std::uint64_t failed = 0;
-  std::vector<std::uint64_t> failed_by_class;  // index = class id
-
-  // Data-plane failure-handling activity (whole run, not just measured).
-  std::uint64_t call_retries = 0;          // retry attempts issued
-  std::uint64_t call_timeouts = 0;         // attempts abandoned at deadline
-  std::uint64_t call_rejections = 0;       // attempts refused by a down cluster
-  std::uint64_t retry_budget_denials = 0;  // retries suppressed by the budget
-  std::uint64_t fault_transitions = 0;     // injector activations + clearings
-  // Per-class breakdowns of the above (index = class id).
-  std::vector<std::uint64_t> call_retries_by_class;
-  std::vector<std::uint64_t> call_timeouts_by_class;
-  std::vector<std::uint64_t> retry_budget_denials_by_class;
-
-  // Overload-control activity (whole run; zero with the subsystem off).
-  std::uint64_t shed_queue_full = 0;   // arrivals rejected by a full queue
-  std::uint64_t shed_queue_delay = 0;  // arrivals rejected by the CoDel shedder
-  std::uint64_t shed_evictions = 0;    // queued jobs evicted by higher priority
-  // Work cancelled because its deadline had expired (at call issue, at
-  // station admission, or at dispatch).
-  std::uint64_t deadline_cancellations = 0;
-  std::uint64_t breaker_ejections = 0;  // circuit-breaker trips
-  // Server-seconds burned on jobs already past their deadline at dispatch —
-  // >0 only when deadlines are carried without propagation.
-  double wasted_server_seconds = 0.0;
-  [[nodiscard]] std::uint64_t total_shed() const noexcept {
-    return shed_queue_full + shed_queue_delay + shed_evictions;
-  }
-
-  // Front-door admission activity (whole run; zero with the subsystem
-  // off). When armed, every arrival is gated before any call-tree work:
-  // generated = admission_admitted + admission_rejected, and rejections
-  // complete synchronously as fast-fail errors.
-  std::uint64_t admission_admitted = 0;
-  std::uint64_t admission_rejected = 0;
-  std::vector<std::uint64_t> admission_admitted_by_class;  // index = class id
-  std::vector<std::uint64_t> admission_rejected_by_class;
-  // Measured-window successes that landed inside their class SLO
-  // (admission armed only) — p99-vs-SLO attainment is
-  // slo_hits_by_class[k] / e2e_by_class[k].count().
-  std::vector<std::uint64_t> slo_hits_by_class;
-  // Adaptation-loop telemetry (zero with adapt off).
-  std::uint64_t admission_adapt_rounds = 0;
-  std::uint64_t admission_rate_raises = 0;
-  std::uint64_t admission_rate_cuts = 0;
-  std::uint64_t admission_floor_raises = 0;
-  std::uint64_t admission_forecast_widenings = 0;
-
-  // Station-level job conservation, summed over stations at run end:
-  // jobs_submitted = jobs_served + jobs_cancelled + jobs_evicted +
-  // jobs_in_flight_at_end (jobs_shed were refused and never admitted).
-  std::uint64_t jobs_submitted = 0;
-  std::uint64_t jobs_served = 0;
-  std::uint64_t jobs_cancelled = 0;
-  std::uint64_t jobs_evicted = 0;
-  std::uint64_t jobs_shed = 0;
-  std::uint64_t jobs_in_flight_at_end = 0;
+#define SLATE_DECLARE_COUNTER(kind, name, init, ...) \
+  CounterType<CounterKind::k##kind> name = init;
+  SLATE_RESULT_COUNTERS(SLATE_DECLARE_COUNTER)
+#undef SLATE_DECLARE_COUNTER
 
   SampleSet e2e;                        // end-to-end latency of successes, seconds
   std::vector<SampleSet> e2e_by_class;  // index = class id
-
-  // Post-warmup egress accounting.
-  std::uint64_t egress_bytes = 0;
-  std::uint64_t local_bytes = 0;
-  double egress_cost_dollars = 0.0;
-
-  // Post-warmup provisioned-capacity accounting: the integral of servers()
-  // over measured time summed across stations, and its cost at each
-  // cluster's $/server-hour price (0 when no prices are set). Always
-  // recorded — it is pure bookkeeping with no simulation events.
-  double server_seconds = 0.0;
-  double server_cost_dollars = 0.0;
-  // Egress + server spend — the joint objective the bi-level co-design
-  // minimizes (docs/autoscaling.md).
-  [[nodiscard]] double total_cost_dollars() const noexcept {
-    return egress_cost_dollars + server_cost_dollars;
-  }
-
-  // Bi-level co-design activity (zero with the subsystem off).
-  std::uint64_t bilevel_capacity_overrides = 0;  // overlay cells != live view
-  std::uint64_t bilevel_plans_pushed = 0;        // periods pushed downward
 
   // Post-warmup station utilization, indexed service * clusters + cluster
   // (-1 where not deployed).
@@ -291,102 +390,34 @@ struct ExperimentResult {
   // node n issued from cluster i and served in cluster j.
   std::vector<std::vector<FlatMatrix<std::uint64_t>>> flows;
 
-  // SLATE control-plane counters (zero for baselines).
-  std::uint64_t controller_rounds = 0;
-  std::uint64_t controller_reverts = 0;
-  std::uint64_t rule_pushes = 0;
+  // Per-period demand signals (RunConfig::record_demand_trace).
+  std::vector<DemandTracePoint> demand_trace;
 
-  // Control-plane hardening activity (zero with every gate off; see
-  // docs/control_plane.md).
-  std::uint64_t guard_fields_rejected = 0;  // admission: poisoned fields
-  std::uint64_t guard_spikes_clamped = 0;   // admission: MAD-gate clamps
-  std::uint64_t guard_interpolations = 0;   // admission: last-good substitutions
-  std::uint64_t solver_fallbacks = 0;       // solves settled below rung 0
-  std::uint64_t solver_holds = 0;           // periods held with no usable plan
-  // Periods skipped by the resolve_tolerance gate (demand flat since the
-  // last solve; rules held with zero churn and zero solver time).
-  std::uint64_t solver_resolve_skips = 0;
+  // Final server count per station (service * clusters + cluster; 0 where
+  // not deployed) — shows where autoscaling/failures left the fleet.
+  std::vector<unsigned> final_servers;
 
-  // Per-period solver wall time and arm selection (SLATE runs only; see
-  // SolveTelemetry in core/global_controller.h). Measurement-only: reported
-  // here and in the slate_cli summary, never fed back into plan selection.
-  std::uint64_t solver_solves = 0;
-  double solver_last_seconds = 0.0;
-  double solver_max_seconds = 0.0;
-  double solver_total_seconds = 0.0;
-  std::uint64_t solver_exact_cold = 0;   // exact LP, cold simplex
-  std::uint64_t solver_exact_warm = 0;   // exact LP, warm-started (memo/basis)
-  std::uint64_t solver_arm_fast = 0;     // marginal-cost descent arm
-  std::uint64_t solver_arm_split = 0;    // capacity-split arm
-  std::uint64_t solver_arm_hold = 0;     // periods that produced no plan
+  // RunConfig::timeseries_bucket when the timeseries is on, else 0.
+  double series_bucket = 0.0;
+
+  [[nodiscard]] std::uint64_t total_shed() const noexcept {
+    return shed_queue_full + shed_queue_delay + shed_evictions;
+  }
+  // Egress + server spend — the joint objective the bi-level co-design
+  // minimizes (docs/autoscaling.md).
+  [[nodiscard]] double total_cost_dollars() const noexcept {
+    return egress_cost_dollars + server_cost_dollars;
+  }
   [[nodiscard]] double mean_solve_seconds() const noexcept {
     return solver_solves > 0
                ? solver_total_seconds / static_cast<double>(solver_solves)
                : 0.0;
   }
-  std::uint64_t rollout_rollbacks = 0;      // canary-triggered reverts
-  std::uint64_t rollout_flap_freezes = 0;   // flap-detector freezes
-  std::uint64_t rollout_damped_pushes = 0;  // pushes clipped by the delta cap
-  std::uint64_t stale_rule_pushes = 0;      // epoch-stale pushes discarded
-  // Rule-churn signal: per-control-period L1 distance between successive
-  // actuated rule sets. Periods that hold the previous rules (canary
-  // window, solver hold, flap freeze) contribute zero movement but still
-  // count, so the mean measures actuation churn per unit time rather than
-  // per push.
-  double rule_delta_sum = 0.0;
-  std::uint64_t rule_delta_count = 0;
   [[nodiscard]] double mean_rule_delta() const noexcept {
     return rule_delta_count > 0
                ? rule_delta_sum / static_cast<double>(rule_delta_count)
                : 0.0;
   }
-
-  // N-1 contingency planning activity (zero with the subsystem off; see
-  // docs/resilience.md). Margins are worst-case post-failure max station
-  // utilization: the load the hottest station would see if the worst single
-  // cluster failed right now and its traffic rerouted along the data plane's
-  // failover rules.
-  std::uint64_t contingency_evals = 0;      // periods margin-checked
-  std::uint64_t contingency_resolves = 0;   // padded re-solves issued
-  double contingency_margin_last = 0.0;     // final period's margin
-  double contingency_margin_worst = 0.0;    // max margin over the run
-  std::uint64_t contingency_pad_level = 0;  // pad level at run end
-
-  // Coordinated drain activity (zero with no drains scheduled).
-  std::uint64_t drains_started = 0;
-  std::uint64_t drains_completed = 0;
-  std::uint64_t drains_cancelled = 0;     // overlapped by an outage
-  std::uint64_t drain_pause_periods = 0;  // steps held on goodput sag
-  std::uint64_t drain_steps = 0;          // weight steps actually taken
-
-  // Forecast activity (zero/-1 with forecasting off; docs/forecasting.md).
-  std::uint64_t forecast_solves = 0;     // optimizations fed forecast demand
-  double forecast_mean_smape = -1.0;     // rolling backtest error, [0, 2]
-  double forecast_mean_confidence = 0.0; // mean blend weight across cells
-
-  // Per-period demand signals (RunConfig::record_demand_trace).
-  std::vector<DemandTracePoint> demand_trace;
-
-  // Autoscaler activity (zero when disabled).
-  std::uint64_t autoscaler_scale_ups = 0;
-  std::uint64_t autoscaler_scale_downs = 0;
-  // Final server count per station (service * clusters + cluster; 0 where
-  // not deployed) — shows where autoscaling/failures left the fleet.
-  std::vector<unsigned> final_servers;
-
-  // Whole-run success/error counts per RunConfig::timeseries_bucket-second
-  // bucket (empty when the timeseries is disabled). Index i covers
-  // [i * bucket, (i+1) * bucket).
-  std::vector<std::uint64_t> completed_series;
-  std::vector<std::uint64_t> failed_series;
-  double series_bucket = 0.0;
-
-  // Discrete events the simulator executed over the whole run — the raw
-  // work unit the engine's perf (bench/micro_simulator) is measured in.
-  std::uint64_t sim_events = 0;
-
-  double measured_seconds = 0.0;
-
   [[nodiscard]] double mean_latency() const { return e2e.mean(); }
   [[nodiscard]] double p50() const { return e2e.quantile(0.5); }
   [[nodiscard]] double p95() const { return e2e.quantile(0.95); }
@@ -424,6 +455,28 @@ struct ExperimentResult {
                ? static_cast<double>(egress_bytes) / static_cast<double>(completed)
                : 0.0;
   }
+};
+
+// One row of the counter table: the SLATE_RESULT_COUNTERS columns plus a
+// pointer to the member the row describes.
+struct CounterRow {
+  const char* name;
+  CounterKind kind;
+  const char* unit;
+  MergeRule merge;
+  CounterClock clock;
+  const char* family;
+  std::variant<std::uint64_t ExperimentResult::*, double ExperimentResult::*,
+               std::vector<std::uint64_t> ExperimentResult::*>
+      member;
+};
+
+inline constexpr CounterRow kResultCounters[] = {
+#define SLATE_COUNTER_ROW(kind, name, init, unit, merge, clock, family)      \
+  {#name, CounterKind::k##kind, unit, MergeRule::merge, CounterClock::clock,  \
+   #family, &ExperimentResult::name},
+    SLATE_RESULT_COUNTERS(SLATE_COUNTER_ROW)
+#undef SLATE_COUNTER_ROW
 };
 
 // Runs `scenario` under `config` and returns measurements.

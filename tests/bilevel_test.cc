@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "cluster/service_station.h"
+#include "result_checks.h"
 #include "runtime/scenario_loader.h"
 #include "runtime/scenarios.h"
 #include "runtime/simulation.h"
@@ -144,8 +145,7 @@ TEST(Bilevel, InertWithoutPrerequisites) {
   const ExperimentResult r1 =
       run_experiment(make_two_cluster_chain_scenario(), no_scaler);
   EXPECT_EQ(r1.bilevel_plans_pushed, 0u);
-  EXPECT_EQ(r1.completed, plain.completed);
-  EXPECT_DOUBLE_EQ(r1.p99(), plain.p99());
+  expect_same_result(r1, plain);
 
   RunConfig wrong_policy = base;
   wrong_policy.policy = PolicyKind::kLocalityFailover;

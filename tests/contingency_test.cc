@@ -11,6 +11,7 @@
 #include "contingency/drain_orchestrator.h"
 #include "contingency/headroom_planner.h"
 #include "fault/chaos_campaign.h"
+#include "result_checks.h"
 #include "runtime/scenario_loader.h"
 #include "runtime/simulation.h"
 
@@ -477,13 +478,8 @@ demand k b 100
   disarmed.contingency = ContingencyOptions{};
   disarmed.drains.clear();
 
-  const ExperimentResult a = run_experiment(plain, config);
   const ExperimentResult b = run_experiment(disarmed, config);
-  EXPECT_EQ(a.generated, b.generated);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.sim_events, b.sim_events);
-  EXPECT_EQ(a.egress_bytes, b.egress_bytes);
-  EXPECT_EQ(a.e2e.samples(), b.e2e.samples());
+  expect_same_result(run_experiment(plain, config), b);
   EXPECT_EQ(b.contingency_evals, 0u);
   EXPECT_EQ(b.drains_started, 0u);
 

@@ -3,6 +3,7 @@
 // hierarchy, with the data plane's timeout/retry machinery on.
 #include <gtest/gtest.h>
 
+#include "result_checks.h"
 #include "runtime/scenarios.h"
 #include "runtime/simulation.h"
 
@@ -220,16 +221,9 @@ TEST(FaultRecovery, DeterministicForSeedUnderFaults) {
   scenario.faults.link_degradation(ClusterId{0}, ClusterId{1}, 15.0, 20.0,
                                    3.0, 0.01);
 
-  const ExperimentResult a =
-      run_experiment(scenario, fault_config(PolicyKind::kSlate, 11));
-  const ExperimentResult b =
-      run_experiment(scenario, fault_config(PolicyKind::kSlate, 11));
-  EXPECT_EQ(a.generated, b.generated);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.failed, b.failed);
-  EXPECT_EQ(a.call_retries, b.call_retries);
-  EXPECT_EQ(a.call_timeouts, b.call_timeouts);
-  EXPECT_DOUBLE_EQ(a.mean_latency(), b.mean_latency());
+  expect_same_result(
+      run_experiment(scenario, fault_config(PolicyKind::kSlate, 11)),
+      run_experiment(scenario, fault_config(PolicyKind::kSlate, 11)));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
+#include "result_checks.h"
 #include "runtime/scenario_loader.h"
 #include "runtime/simulation.h"
 #include "sim/simulator.h"
@@ -262,13 +263,7 @@ drain east @4s over=8s
   EXPECT_GT(a.goodput_in_window(15.0, 20.0),
             0.9 * a.goodput_in_window(2.0, 4.0));
 
-  const ExperimentResult b = run_experiment(make, config);
-  EXPECT_EQ(a.generated, b.generated);
-  EXPECT_EQ(a.completed, b.completed);
-  EXPECT_EQ(a.sim_events, b.sim_events);
-  EXPECT_EQ(a.drain_steps, b.drain_steps);
-  EXPECT_EQ(a.drains_cancelled, b.drains_cancelled);
-  EXPECT_EQ(a.e2e.samples(), b.e2e.samples());
+  expect_same_result(a, run_experiment(make, config));
 }
 
 }  // namespace
