@@ -33,60 +33,38 @@ namespace {
 
 // --- Phase 1: metastable burst, mid-tree vs front-door shedding -----------
 
-constexpr double kBurstStart = 30.0;
-constexpr double kBurstEnd = 40.0;
-
-RunConfig burst_config(bool front_door) {
-  RunConfig config;
-  config.policy = PolicyKind::kLocalOnly;
-  config.duration = 70.0;
-  config.warmup = 5.0;
-  config.seed = 23;
-  config.timeseries_bucket = 1.0;
-  config.failure.enabled = true;
-  config.failure.call_timeout = 0.5;
-  config.failure.max_retries = 2;
-  config.failure.retry_excludes_failed = false;
+void run_front_door_phase() {
+  Scenario scenario = bench::burst_chain_scenario();
   // Mid-tree shedding: bounded queues shed at interior stations, and
   // deadlines are carried for accounting only — expired work is served
   // anyway, which is what makes the waste visible. The bound is deep
   // enough (512 jobs ≈ 1s of work) that queued requests can outlive
   // their 0.5s deadline before the shed point is reached.
-  config.overload.queue.max_queue = 512;
-  config.overload.deadline.enabled = true;
-  config.overload.deadline.default_deadline = 0.5;
-  config.overload.deadline.propagate = false;
-  if (front_door) {
-    config.admission.enabled = true;
-    config.admission.default_rate = 450.0;
-    config.admission.burst = 0.1;
-    config.admission.default_slo = 0.5;
-    config.admission.target_attainment = 0.9;
-    // The chain saturates at ~500 RPS; 420 offered * 1.1 headroom keeps
-    // the healthy-cell bucket under capacity so the burst onset cannot
-    // tip the chain into the retry spiral before the loop reacts.
-    config.admission.headroom = 1.1;
-    // Retries amplify any over-admit 3x, so the loop must be able to cut
-    // below amplified capacity fast; a shallow floor keeps the door from
-    // feeding the spiral at 10% of a 1500 RPS burst.
-    config.admission.gain = 0.5;
-    config.admission.fair_floor = 0.02;
-  }
-  return config;
-}
-
-void run_front_door_phase() {
-  TwoClusterChainParams params;
-  params.west_rps = 420.0;
-  params.east_rps = 100.0;
-  Scenario scenario = make_two_cluster_chain_scenario(params);
-  const ClassId chain = scenario.app->find_class("chain");
-  scenario.demand.add_step(chain, ClusterId{0}, kBurstStart, 1500.0);
-  scenario.demand.add_step(chain, ClusterId{0}, kBurstEnd, params.west_rps);
+  scenario.overload.queue.max_queue = 512;
+  scenario.overload.deadline.enabled = true;
+  scenario.overload.deadline.default_deadline = 0.5;
+  scenario.overload.deadline.propagate = false;
+  // The front-door arm adds the admission gate to the same world.
+  Scenario front_door = scenario;
+  AdmissionPolicy& admission = front_door.admission;
+  admission.enabled = true;
+  admission.default_rate = 450.0;
+  admission.burst = 0.1;
+  admission.default_slo = 0.5;
+  admission.target_attainment = 0.9;
+  // The chain saturates at ~500 RPS; 420 offered * 1.1 headroom keeps
+  // the healthy-cell bucket under capacity so the burst onset cannot
+  // tip the chain into the retry spiral before the loop reacts.
+  admission.headroom = 1.1;
+  // Retries amplify any over-admit 3x, so the loop must be able to cut
+  // below amplified capacity fast; a shallow floor keeps the door from
+  // feeding the spiral at 10% of a 1500 RPS burst.
+  admission.gain = 0.5;
+  admission.fair_floor = 0.02;
 
   std::vector<GridJob> jobs;
-  jobs.push_back({&scenario, burst_config(false), "mid-tree"});
-  jobs.push_back({&scenario, burst_config(true), "front-door"});
+  jobs.push_back({&scenario, bench::burst_chain_config(), "mid-tree"});
+  jobs.push_back({&front_door, bench::burst_chain_config(), "front-door"});
   std::vector<ExperimentResult> results = bench::run_grid(jobs);
 
   std::printf("\nphase 1: 10s burst to 1500 RPS; shed mid-tree vs at the door\n");
@@ -95,8 +73,8 @@ void run_front_door_phase() {
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ExperimentResult& r = results[i];
     const char* label = i == 0 ? "mid-tree" : "front-door";
-    const double pre = r.goodput_in_window(20.0, kBurstStart);
-    const double burst = r.goodput_in_window(32.0, kBurstEnd);
+    const double pre = r.goodput_in_window(20.0, bench::kBurstStart);
+    const double burst = r.goodput_in_window(32.0, bench::kBurstEnd);
     const double post = r.goodput_in_window(55.0, 70.0);
     std::printf("%-12s %8.1f %8.1f %8.1f %10llu %10llu %12.1f\n", label, pre,
                 burst, post, static_cast<unsigned long long>(r.total_shed()),
@@ -151,27 +129,26 @@ Scenario diurnal_scenario() {
   return scenario;
 }
 
-RunConfig diurnal_config(bool admission) {
+RunConfig diurnal_config() {
   RunConfig config;
   config.policy = PolicyKind::kLocalOnly;
   config.duration = kDuration;
   config.warmup = 10.0;
   config.seed = 31;
-  if (admission) {
-    config.admission.enabled = true;
-    config.admission.default_rate = 400.0;
-    config.admission.default_slo = 0.25;
-    config.admission.target_attainment = 0.9;
-    config.admission.fair_floor = 0.2;
-  }
   return config;
 }
 
 void run_diurnal_phase() {
   Scenario scenario = diurnal_scenario();
+  Scenario adaptive = scenario;
+  adaptive.admission.enabled = true;
+  adaptive.admission.default_rate = 400.0;
+  adaptive.admission.default_slo = 0.25;
+  adaptive.admission.target_attainment = 0.9;
+  adaptive.admission.fair_floor = 0.2;
   std::vector<GridJob> jobs;
-  jobs.push_back({&scenario, diurnal_config(false), "uncontrolled"});
-  jobs.push_back({&scenario, diurnal_config(true), "adaptive"});
+  jobs.push_back({&scenario, diurnal_config(), "uncontrolled"});
+  jobs.push_back({&adaptive, diurnal_config(), "adaptive"});
   std::vector<ExperimentResult> results = bench::run_grid(jobs);
 
   std::printf("\nphase 2: anti-phase diurnal overload (L vs 10x-cost H)\n");

@@ -135,6 +135,9 @@ int main() {
                       "bi-level autoscaling x TE co-design, follow-the-sun");
 
   const Scenario scenario = make_follow_the_sun_scenario();
+  Scenario co_design_world = scenario;
+  co_design_world.bilevel.enabled = true;
+  co_design_world.bilevel.server_cost_weight = 3600.0;  // $/server-HOUR parity
 
   std::vector<GridJob> jobs;
   {
@@ -152,10 +155,7 @@ int main() {
     open_loop.autoscaler = scaler_options();
     jobs.push_back({&scenario, open_loop, "open-loop"});
 
-    RunConfig co_design = open_loop;
-    co_design.bilevel.enabled = true;
-    co_design.bilevel.server_cost_weight = 3600.0;  // $/server-HOUR parity
-    jobs.push_back({&scenario, co_design, "co-design"});
+    jobs.push_back({&co_design_world, open_loop, "co-design"});
   }
 
   const std::vector<ExperimentResult> results = bench::run_grid(jobs);

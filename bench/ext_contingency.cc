@@ -88,11 +88,6 @@ RunConfig base_config() {
   config.failure.enabled = true;
   config.failure.call_timeout = 0.5;
   config.failure.max_retries = 2;
-  // Deadlines carried but not propagated: timed-out work still burns server
-  // time — the wasted_server_seconds the drain comparison is scored on.
-  config.overload.deadline.enabled = true;
-  config.overload.deadline.default_deadline = 0.5;
-  config.overload.deadline.propagate = false;
   return config;
 }
 
@@ -102,37 +97,37 @@ int main() {
   bench::print_header("Extension",
                       "N-1 failover headroom + coordinated drain vs yank");
 
+  // Deadlines carried but not propagated: timed-out work still burns server
+  // time — the wasted_server_seconds the drain comparison is scored on.
+  Scenario triangle = make_triangle_scenario();
+  triangle.overload.deadline.enabled = true;
+  triangle.overload.deadline.default_deadline = 0.5;
+  triangle.overload.deadline.propagate = false;
+
   // --- Part A: surprise single-cluster outage ----------------------------
-  Scenario outage_world = make_triangle_scenario();
+  Scenario outage_world = triangle;
   outage_world.faults.cluster_outage(ClusterId{1}, kFaultStart,
                                      kFaultEnd - kFaultStart);
+  Scenario armed_world = outage_world;
+  armed_world.contingency.enabled = true;
+  armed_world.contingency.max_post_failure_utilization = 0.95;
 
   std::vector<GridJob> jobs;
-  {
-    RunConfig reactive = base_config();
-    jobs.push_back({&outage_world, reactive, "reactive"});
-    RunConfig armed = base_config();
-    armed.slate.contingency.enabled = true;
-    armed.slate.contingency.max_post_failure_utilization = 0.95;
-    jobs.push_back({&outage_world, armed, "contingency"});
-  }
+  jobs.push_back({&outage_world, base_config(), "reactive"});
+  jobs.push_back({&armed_world, base_config(), "contingency"});
 
   // --- Part B: planned removal, drain vs yank ----------------------------
-  Scenario yank_world = make_triangle_scenario();
+  Scenario yank_world = triangle;
   yank_world.faults.cluster_outage(ClusterId{1}, kFaultStart,
                                    70.0 - kFaultStart);
-  Scenario drain_world = make_triangle_scenario();
-  {
-    RunConfig yank = base_config();
-    jobs.push_back({&yank_world, yank, "yank"});
-    RunConfig drain = base_config();
-    DrainSpec spec;
-    spec.cluster = ClusterId{1};
-    spec.start = kFaultStart;
-    spec.over = 15.0;
-    drain.drains.push_back(spec);
-    jobs.push_back({&drain_world, drain, "drain"});
-  }
+  Scenario drain_world = triangle;
+  DrainSpec spec;
+  spec.cluster = ClusterId{1};
+  spec.start = kFaultStart;
+  spec.over = 15.0;
+  drain_world.drains.push_back(spec);
+  jobs.push_back({&yank_world, base_config(), "yank"});
+  jobs.push_back({&drain_world, base_config(), "drain"});
 
   std::vector<ExperimentResult> results = bench::run_grid(jobs);
   const char* arms[4] = {"reactive", "contingency", "yank", "drain"};

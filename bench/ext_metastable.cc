@@ -31,43 +31,17 @@ using namespace slate;
 
 namespace {
 
-constexpr double kBurstStart = 30.0;
-constexpr double kBurstEnd = 40.0;
-
-RunConfig burst_config(bool protected_run) {
-  RunConfig config;
-  config.policy = PolicyKind::kLocalOnly;
-  config.duration = 70.0;
-  config.warmup = 5.0;
-  config.seed = 23;
-  config.timeseries_bucket = 1.0;
-  config.failure.enabled = true;
-  config.failure.call_timeout = 0.5;
-  config.failure.max_retries = 2;
-  // Local-only has one candidate; retries must re-aim at it (which is
-  // exactly the amplification that feeds the metastable loop).
-  config.failure.retry_excludes_failed = false;
-  if (protected_run) {
-    config.overload.queue.max_queue = 64;
-    config.overload.deadline.enabled = true;
-    config.overload.deadline.default_deadline = 0.5;
-    config.overload.deadline.propagate = true;
-  }
-  return config;
-}
-
 void run_burst_phase() {
-  TwoClusterChainParams params;
-  params.west_rps = 420.0;
-  params.east_rps = 100.0;
-  Scenario scenario = make_two_cluster_chain_scenario(params);
-  const ClassId chain = scenario.app->find_class("chain");
-  scenario.demand.add_step(chain, ClusterId{0}, kBurstStart, 1500.0);
-  scenario.demand.add_step(chain, ClusterId{0}, kBurstEnd, params.west_rps);
+  const Scenario scenario = bench::burst_chain_scenario();
+  Scenario protected_world = scenario;
+  protected_world.overload.queue.max_queue = 64;
+  protected_world.overload.deadline.enabled = true;
+  protected_world.overload.deadline.default_deadline = 0.5;
+  protected_world.overload.deadline.propagate = true;
 
   std::vector<GridJob> jobs;
-  jobs.push_back({&scenario, burst_config(false), "unprotected"});
-  jobs.push_back({&scenario, burst_config(true), "protected"});
+  jobs.push_back({&scenario, bench::burst_chain_config(), "unprotected"});
+  jobs.push_back({&protected_world, bench::burst_chain_config(), "protected"});
   std::vector<ExperimentResult> results = bench::run_grid(jobs);
 
   std::printf("\nphase 1: 10s burst to 1500 RPS on a ~500 RPS chain\n");
@@ -77,8 +51,8 @@ void run_burst_phase() {
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ExperimentResult& r = results[i];
     const char* label = i == 0 ? "unprotected" : "protected";
-    const double pre = r.goodput_in_window(20.0, kBurstStart);
-    const double burst = r.goodput_in_window(32.0, kBurstEnd);
+    const double pre = r.goodput_in_window(20.0, bench::kBurstStart);
+    const double burst = r.goodput_in_window(32.0, bench::kBurstEnd);
     const double post = r.goodput_in_window(55.0, 70.0);
     std::printf("%-14s %8.1f %8.1f %8.1f %10.2f %8llu %10llu %12.1f\n", label,
                 pre, burst, post, pre > 0.0 ? post / pre : 0.0,
@@ -101,7 +75,7 @@ void run_burst_phase() {
 constexpr double kGrayStart = 30.0;
 constexpr double kGrayEnd = 60.0;
 
-RunConfig gray_config(bool protected_run) {
+RunConfig gray_config() {
   RunConfig config;
   config.policy = PolicyKind::kLocalityFailover;
   config.duration = 80.0;
@@ -111,9 +85,6 @@ RunConfig gray_config(bool protected_run) {
   config.failure.enabled = true;
   config.failure.call_timeout = 0.25;
   config.failure.max_retries = 1;
-  if (protected_run) {
-    config.overload.breaker.enabled = true;
-  }
   return config;
 }
 
@@ -128,9 +99,12 @@ void run_gray_phase() {
                                    ClusterId{0}, kGrayStart,
                                    kGrayEnd - kGrayStart, 8.0);
 
+  Scenario breaker_world = scenario;
+  breaker_world.overload.breaker.enabled = true;
+
   std::vector<GridJob> jobs;
-  jobs.push_back({&scenario, gray_config(false), "no-breaker"});
-  jobs.push_back({&scenario, gray_config(true), "breaker"});
+  jobs.push_back({&scenario, gray_config(), "no-breaker"});
+  jobs.push_back({&breaker_world, gray_config(), "breaker"});
   std::vector<ExperimentResult> results = bench::run_grid(jobs);
 
   std::printf("\nphase 2: svc-1 in West 8x slower for 30s (gray failure)\n");

@@ -65,8 +65,6 @@ int main() {
   bench::print_header(
       "Extension", "predictive TE: reactive vs forecast vs hindsight oracle");
 
-  const Scenario scenario = diurnal_scenario();
-
   RunConfig base;
   base.policy = PolicyKind::kSlate;
   base.duration = kDuration;
@@ -75,17 +73,18 @@ int main() {
   base.control_period = 1.0;
   base.timeseries_bucket = 1.0;
 
-  RunConfig predictive = base;
-  predictive.slate.forecast.kind = ForecastKind::kHoltWinters;
-  predictive.slate.forecast.season =
+  const Scenario scenario = diurnal_scenario();
+  Scenario predictive = scenario;
+  predictive.forecast.kind = ForecastKind::kHoltWinters;
+  predictive.forecast.season =
       static_cast<std::size_t>(kPeriod / base.control_period);
-  RunConfig oracle = base;
-  oracle.slate.forecast.kind = ForecastKind::kOracle;
+  Scenario oracle = scenario;
+  oracle.forecast.kind = ForecastKind::kOracle;
 
   std::vector<GridJob> jobs;
   jobs.push_back({&scenario, base, "reactive"});
-  jobs.push_back({&scenario, predictive, "predictive"});
-  jobs.push_back({&scenario, oracle, "oracle"});
+  jobs.push_back({&predictive, base, "predictive"});
+  jobs.push_back({&oracle, base, "oracle"});
   std::vector<ExperimentResult> results = bench::run_grid(jobs);
 
   const char* labels[] = {"reactive", "predictive", "oracle"};

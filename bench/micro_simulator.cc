@@ -176,29 +176,30 @@ int main(int argc, char** argv) {
     // Full overload stack armed (bounded queues + CoDel, deadline
     // propagation, breakers): the gates sit on every submit/dispatch, so
     // this run prices the per-event overhead of the protection machinery.
-    RunConfig o = c;
-    o.overload.queue.max_queue = 64;
-    o.overload.queue.codel_target = 0.02;
-    o.overload.deadline.enabled = true;
-    o.overload.deadline.default_deadline = 0.5;
-    o.overload.breaker.enabled = true;
-    rows.push_back(run_case("chain-2c-overload", scenario, o));
+    Scenario overloaded = scenario;
+    overloaded.overload.queue.max_queue = 64;
+    overloaded.overload.queue.codel_target = 0.02;
+    overloaded.overload.deadline.enabled = true;
+    overloaded.overload.deadline.default_deadline = 0.5;
+    overloaded.overload.breaker.enabled = true;
+    rows.push_back(run_case("chain-2c-overload", overloaded, c));
     // Front-door admission on top of the overload stack, with buckets
     // sized above the offered load: every arrival pays the token-bucket
     // gate and the adaptation loop retunes each control period, but
     // nothing sheds — this prices the gate itself, not the rejections.
-    RunConfig a = o;
-    a.admission.enabled = true;
-    a.admission.default_rate = 900.0;
-    rows.push_back(run_case("chain-2c-admission", scenario, a));
+    Scenario admitted = overloaded;
+    admitted.admission.enabled = true;
+    admitted.admission.default_rate = 900.0;
+    rows.push_back(run_case("chain-2c-admission", admitted, c));
     // N-1 headroom armed: every control period pays one simulated reroute
     // per cluster (plus padded re-solves when the margin overflows) — this
     // run prices the contingency check on top of the control loop
     // (docs/resilience.md).
-    RunConfig n1 = config;
-    n1.policy = PolicyKind::kSlate;
-    n1.slate.contingency.enabled = true;
-    rows.push_back(run_case("chain-2c-contingency", scenario, n1));
+    Scenario n1 = scenario;
+    n1.contingency.enabled = true;
+    RunConfig slate_config = config;
+    slate_config.policy = PolicyKind::kSlate;
+    rows.push_back(run_case("chain-2c-contingency", n1, slate_config));
     // Bi-level co-design armed on a priced copy: every control period the
     // coordinator builds the effective-capacity overlay, the LP carries
     // the server-cost term, and the plan pushes back down to the
@@ -206,11 +207,10 @@ int main(int argc, char** argv) {
     // (docs/autoscaling.md).
     Scenario priced = make_two_cluster_chain_scenario(params);
     priced.topology->set_uniform_server_price(0.10);
-    RunConfig bl = config;
-    bl.policy = PolicyKind::kSlate;
+    priced.bilevel.enabled = true;
+    RunConfig bl = slate_config;
     bl.autoscaler_enabled = true;
     bl.autoscaler.evaluation_period = 1.0;
-    bl.bilevel.enabled = true;
     rows.push_back(run_case("chain-2c-bilevel", priced, bl));
     // Forecast armed on time-varying demand: the piecewise generator steps
     // churn arrival rates every 0.5 s and the Holt-Winters per-cell
@@ -228,11 +228,10 @@ int main(int argc, char** argv) {
     east.phase = west.period / 2.0;
     add_diurnal(diurnal.demand, ClassId{0}, ClusterId{0}, west);
     add_diurnal(diurnal.demand, ClassId{0}, ClusterId{1}, east);
-    RunConfig f = config;
-    f.policy = PolicyKind::kSlate;
+    RunConfig f = slate_config;
     f.control_period = 1.0;
-    f.slate.forecast.kind = ForecastKind::kHoltWinters;
-    f.slate.forecast.season =
+    diurnal.forecast.kind = ForecastKind::kHoltWinters;
+    diurnal.forecast.season =
         static_cast<std::size_t>(west.period / f.control_period);
     rows.push_back(run_case("chain-2c-forecast", diurnal, f));
   }

@@ -19,16 +19,17 @@
 //   --no-faults            ignore the scenario's fault plan
 //   --no-guard             ignore the scenario's guard directives (run the
 //                          control plane unhardened)
-//   --forecast=<kind>      SLATE demand forecasting: last, ewma, linear,
-//                          holtwinters, or oracle (overrides the scenario's
-//                          forecast directive)
-//   --forecast-season=<n>  Holt-Winters season length, in control periods
+//   --forecast=<kind>      SLATE demand forecasting: set the forecast kind
+//                          (last, ewma, linear, holtwinters, or oracle)
+//   --forecast-season=<n>  set the Holt-Winters season length, in control
+//                          periods
 //   --no-forecast          ignore the scenario's forecast directive (run
 //                          the controller purely reactive)
 //   --dump-demand=<csv>    write the per-period offered/estimated/forecast
 //                          demand timeseries per (class, cluster) to <csv>
 //   --queue-limit=<n>      bound every station queue at n jobs (overload)
-//   --deadline=<seconds>   end-to-end deadline with propagation (overload)
+//   --deadline=<seconds>   arm the end-to-end default deadline, with
+//                          propagation (overload)
 //   --no-overload          ignore the scenario's overload directives
 //   --admit=<class>:<rps>  front-door admission: cap class at rps per
 //                          ingress cluster (repeatable; <rps> alone caps
@@ -37,8 +38,8 @@
 //   --contingency          SLATE: arm N-1 headroom planning (pad the solve
 //                          until every single-cluster failure reroutes
 //                          within the utilization cap; docs/resilience.md)
-//   --contingency-cap=<u>  post-failure utilization cap in (0, 1] (default
-//                          0.95; implies --contingency)
+//   --contingency-cap=<u>  set the post-failure utilization cap in (0, 1]
+//                          (default 0.95; implies --contingency)
 //   --no-contingency       ignore the scenario's contingency directive
 //   --no-drains            ignore the scenario's drain directives (and
 //                          campaign-expanded drains)
@@ -53,10 +54,16 @@
 //   --jobs=<n>             worker threads for replications (default: all
 //                          hardware threads; results are independent of n)
 //
-// Each --no-<x> clears that layer on the loaded scenario before the CLI
-// overlays (--admit, --server-price) apply, so `--no-admission --admit=...`
-// runs with exactly the given caps. A malformed or out-of-range value exits
-// with status 2 and "bad value for --<flag>".
+// The scenario is the one source of subsystem policy. Each --no-<x> clears
+// that layer on the loaded scenario; the overlay flags (--forecast,
+// --forecast-season, --queue-limit, --deadline, --admit, --contingency,
+// --contingency-cap, --bilevel, --server-price) then edit it, setting only
+// the fields they name and keeping the scenario's others. So
+// `--no-admission --admit=...` runs with exactly the given caps, and
+// `--queue-limit=50` keeps the scenario's CoDel target. A malformed or
+// out-of-range value exits with status 2 and "bad value for --<flag>"; a
+// run the simulator refuses (e.g. warmup past duration, a contingency cap
+// below its floor) exits with status 2 and "invalid run: <reason>".
 //
 // Sample scenarios live in examples/scenarios/.
 #include <algorithm>
@@ -64,6 +71,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <stdexcept>
 #include <string>
@@ -197,9 +205,8 @@ int main(int argc, char** argv) {
   config.warmup = 15.0;
   bool print_cdf = false;
   std::vector<void (*)(Scenario&)> disarms;
-  double server_price = -1.0;  // < 0 = keep the scenario's prices
-  // --admit specs, resolved against class names after the scenario loads.
-  std::vector<std::string> admit_specs;
+  // Overlay-flag edits, applied to the loaded scenario after the disarms.
+  std::vector<std::function<void(Scenario&)>> overlays;
   std::string dump_demand_path;
   std::size_t seeds = 1;
   std::size_t jobs = 0;  // 0 = hardware concurrency
@@ -247,38 +254,73 @@ int main(int argc, char** argv) {
       config.failure.enabled = true;
       config.failure.max_retries = to_count(value);
     } else if (parse_flag(argv[i], "--forecast", &value)) {
-      if (!forecast_kind_from_string(value, &config.slate.forecast.kind)) {
+      ForecastKind kind = ForecastKind::kNone;
+      if (!forecast_kind_from_string(value, &kind)) {
         std::fprintf(stderr,
                      "unknown forecast kind '%s' (expected none, last, ewma, "
                      "linear, holtwinters, oracle)\n",
                      value.c_str());
         return 2;
       }
+      overlays.push_back([kind](Scenario& s) { s.forecast.kind = kind; });
     } else if (parse_flag(argv[i], "--forecast-season", &value)) {
-      config.slate.forecast.season = to_count(value);
+      overlays.push_back(
+          [n = to_count(value)](Scenario& s) { s.forecast.season = n; });
     } else if (parse_flag(argv[i], "--dump-demand", &value)) {
       config.record_demand_trace = true;
       dump_demand_path = value;
     } else if (parse_flag(argv[i], "--queue-limit", &value)) {
-      config.overload.queue.max_queue = to_count(value);
+      overlays.push_back([n = to_count(value)](Scenario& s) {
+        s.overload.queue.max_queue = n;
+      });
     } else if (parse_flag(argv[i], "--deadline", &value)) {
-      config.overload.deadline.enabled = true;
-      config.overload.deadline.default_deadline = to_double(value);
+      overlays.push_back([d = to_double(value)](Scenario& s) {
+        s.overload.deadline.enabled = true;
+        s.overload.deadline.default_deadline = d;
+        s.overload.deadline.propagate = true;
+      });
     } else if (parse_flag(argv[i], "--admit", &value)) {
-      admit_specs.push_back(value);
+      // "<class>:<rps>" caps one class, a bare "<rps>" sets the default
+      // rate; either arms admission.
+      const std::size_t colon = value.find(':');
+      const bool per_class = colon != std::string::npos;
+      const double rps = to_double(per_class ? value.substr(colon + 1) : value);
+      if (!(rps > 0.0)) throw std::out_of_range(value);
+      const std::string cls = per_class ? value.substr(0, colon) : "";
+      overlays.push_back([per_class, cls, rps](Scenario& s) {
+        AdmissionPolicy& admission = s.admission;
+        admission.enabled = true;
+        if (!per_class) {
+          admission.default_rate = rps;
+          return;
+        }
+        const ClassId id = s.app->find_class(cls);
+        if (!id.valid()) {
+          throw std::invalid_argument("--admit: unknown class '" + cls + "'");
+        }
+        auto& rates = admission.class_rate;
+        if (rates.size() <= id.index()) rates.resize(id.index() + 1, 0.0);
+        rates[id.index()] = rps;
+      });
     } else if (std::strcmp(argv[i], "--contingency") == 0) {
-      config.slate.contingency.enabled = true;
+      overlays.push_back([](Scenario& s) { s.contingency.enabled = true; });
     } else if (parse_flag(argv[i], "--contingency-cap", &value)) {
-      config.slate.contingency.enabled = true;
       const double cap = to_double(value);
       // The loader's `contingency cap=` range.
       if (!(cap > 0.0 && cap <= 1.0)) throw std::out_of_range(value);
-      config.slate.contingency.max_post_failure_utilization = cap;
+      overlays.push_back([cap](Scenario& s) {
+        s.contingency.enabled = true;
+        s.contingency.max_post_failure_utilization = cap;
+      });
     } else if (std::strcmp(argv[i], "--bilevel") == 0) {
-      config.bilevel.enabled = true;
+      overlays.push_back([](Scenario& s) { s.bilevel.enabled = true; });
       config.autoscaler_enabled = true;
     } else if (parse_flag(argv[i], "--server-price", &value)) {
-      server_price = to_double(value);
+      const double price = to_double(value);
+      if (!(price >= 0.0)) throw std::out_of_range(value);
+      overlays.push_back([price](Scenario& s) {
+        s.topology->set_uniform_server_price(price);
+      });
     } else if (std::strcmp(argv[i], "--cdf") == 0) {
       print_cdf = true;
     } else if (parse_flag(argv[i], "--seeds", &value)) {
@@ -313,43 +355,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   for (const auto clear : disarms) clear(scenario);
-  if (server_price >= 0.0) {
-    scenario.topology->set_uniform_server_price(server_price);
-  }
-
-  // --admit overlays onto the scenario's admission policy (and arms it):
-  // "<class>:<rps>" caps one class, a bare "<rps>" sets the default rate.
-  for (const std::string& spec : admit_specs) {
-    const std::size_t colon = spec.find(':');
-    double rps = 0.0;
-    try {
-      rps = std::stod(colon == std::string::npos ? spec
-                                                 : spec.substr(colon + 1));
-    } catch (const std::exception&) {
-      rps = 0.0;
-    }
-    if (rps <= 0.0) {
-      std::fprintf(stderr, "--admit expects <class>:<rps> or <rps>, got '%s'\n",
-                   spec.c_str());
-      return 2;
-    }
-    if (colon == std::string::npos) {
-      scenario.admission.default_rate = rps;
-    } else {
-      const std::string cls = spec.substr(0, colon);
-      ClassId id;
-      for (ClassId k : scenario.app->all_classes()) {
-        if (scenario.app->traffic_class(k).name == cls) id = k;
-      }
-      if (!id.valid()) {
-        std::fprintf(stderr, "--admit: unknown class '%s'\n", cls.c_str());
-        return 2;
-      }
-      auto& rates = scenario.admission.class_rate;
-      if (rates.size() <= id.index()) rates.resize(id.index() + 1, 0.0);
-      rates[id.index()] = rps;
-    }
-    scenario.admission.enabled = true;
+  try {
+    for (const auto& overlay : overlays) overlay(scenario);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   }
 
   // Replications: seed i is derived from the base seed, and every replicate
@@ -362,8 +372,13 @@ int main(int argc, char** argv) {
   }
   GridOptions options;
   options.jobs = jobs;
-  const std::vector<ExperimentResult> results =
-      run_experiment_grid(grid, options);
+  std::vector<ExperimentResult> results;
+  try {
+    results = run_experiment_grid(grid, options);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "invalid run: %s\n", e.what());
+    return 2;
+  }
   const ExperimentResult& r = results.front();
 
   // Demand-trace export (first replicate): offered vs. controller-estimated

@@ -13,6 +13,11 @@ Deployment::Deployment(const Application& app, std::size_t cluster_count)
   }
 }
 
+Deployment::Deployment(const Deployment& other, const Application& app)
+    : Deployment(other) {
+  app_ = &app;
+}
+
 const Deployment::Placement& Deployment::at(ServiceId service,
                                             ClusterId cluster) const {
   if (!service.valid() || service.index() >= placements_.rows() ||

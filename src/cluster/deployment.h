@@ -20,6 +20,8 @@ namespace slate {
 class Deployment {
  public:
   Deployment(const Application& app, std::size_t cluster_count);
+  // Copies `other`'s placements onto `app`, a copy of other's application.
+  Deployment(const Deployment& other, const Application& app);
 
   // Deploys `service` in `cluster` with `servers` parallel workers and the
   // given nominal capacity (requests/second). Re-deploying overwrites.

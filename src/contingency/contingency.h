@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstddef>
+#include <stdexcept>
 
 #include "util/ids.h"
 
@@ -47,6 +48,22 @@ struct ContingencyOptions {
   // A pad level is relaxed one step (next period) only when the margin sits
   // below cap - relax_hysteresis, preventing pad-level flapping.
   double relax_hysteresis = 0.05;
+
+  // Throws std::invalid_argument naming the scenario attribute (cap,
+  // pad_step, min_cap, hysteresis) that is out of range.
+  void validate() const {
+    const auto check = [](bool ok, const char* what) {
+      if (!ok) throw std::invalid_argument(what);
+    };
+    const double cap = max_post_failure_utilization;
+    check(cap > 0.0 && cap <= 1.0, "contingency cap must be in (0, 1]");
+    check(pad_step > 0.0 && pad_step < 1.0,
+          "contingency pad_step must be in (0, 1)");
+    check(min_utilization > 0.0 && min_utilization <= 1.0,
+          "contingency min_cap must be in (0, 1]");
+    check(relax_hysteresis >= 0.0, "contingency hysteresis must be >= 0");
+    check(min_utilization <= cap, "contingency needs min_cap <= cap");
+  }
 };
 
 // One coordinated drain: phase traffic off `cluster` starting at `start`,

@@ -180,8 +180,4 @@ void FaultPlan::validate(std::size_t cluster_count,
   }
 }
 
-void FaultPlan::append(const FaultPlan& other) {
-  faults_.insert(faults_.end(), other.faults_.begin(), other.faults_.end());
-}
-
 }  // namespace slate

@@ -101,7 +101,6 @@ class FaultPlan {
   // std::invalid_argument naming the offending fault index.
   void validate(std::size_t cluster_count, std::size_t service_count) const;
 
-  void append(const FaultPlan& other);
   void clear() noexcept { faults_.clear(); }
 
   [[nodiscard]] bool empty() const noexcept { return faults_.empty(); }

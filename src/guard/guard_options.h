@@ -13,9 +13,8 @@
 //     damping, a canary window with auto-rollback, and a flap detector
 //     that freezes updates while the weight vector oscillates.
 //
-// Each gate is off by default; scenario `guard` directives or RunConfig
-// arm them independently (config overrides scenario per enabled gate,
-// mirroring overload-policy merging).
+// Each gate is off by default; scenario `guard` directives (or a program
+// setting Scenario::guard) arm them independently.
 #pragma once
 
 #include <cstddef>

@@ -18,6 +18,24 @@ const char* to_string(PolicyKind kind) noexcept {
   return "?";
 }
 
+Scenario::Scenario(const Scenario& other)
+    : name(other.name),
+      app(other.app ? std::make_unique<Application>(*other.app) : nullptr),
+      topology(other.topology ? std::make_unique<Topology>(*other.topology)
+                              : nullptr),
+      deployment(other.deployment
+                     ? std::make_unique<Deployment>(*other.deployment, *app)
+                     : nullptr),
+      demand(other.demand),
+      faults(other.faults),
+      overload(other.overload),
+      guard(other.guard),
+      forecast(other.forecast),
+      admission(other.admission),
+      contingency(other.contingency),
+      drains(other.drains),
+      bilevel(other.bilevel) {}
+
 double ExperimentResult::error_rate(ClassId k) const {
   if (k.index() >= failed_by_class.size()) return 0.0;
   const std::uint64_t errors = failed_by_class[k.index()];

@@ -39,43 +39,46 @@ const char* to_string(PolicyKind kind) noexcept;
 
 // A self-contained experiment world. Scenario owns the application,
 // topology, deployment (which references the application), and demand
-// schedule; heap members keep addresses stable across moves.
+// schedule; heap members keep addresses stable across moves. It is also the
+// one source of subsystem policy: a harness that runs one world under
+// several policies copies the Scenario (a deep copy) and arms the copy.
 struct Scenario {
+  Scenario() = default;
+  // Deep copy: clones the application, topology and deployment, and rebinds
+  // the cloned deployment to the cloned application. It names every member,
+  // so a field added here must be added to it (experiment.cc).
+  Scenario(const Scenario& other);
+  Scenario(Scenario&&) noexcept = default;
+  Scenario& operator=(Scenario&&) noexcept = default;
+
   std::string name;
   std::unique_ptr<Application> app;
   std::unique_ptr<Topology> topology;
   std::unique_ptr<Deployment> deployment;
   DemandSchedule demand;
-  // Scheduled faults shipped with the world (scenario files' `fault`
-  // directives). Merged with RunConfig::faults at run time.
+  // Scheduled faults (`fault` directives); --no-faults clears them.
   FaultPlan faults;
-  // Overload control shipped with the world (`overload` directives). Each
-  // enabled sub-policy of RunConfig::overload overrides its counterpart
-  // here at run time.
+  // Overload control (`overload` directives): bounded queues, deadlines,
+  // circuit breaking; --no-overload disarms it. See docs/overload.md.
   OverloadPolicy overload;
-  // Control-plane hardening shipped with the world (`guard` directives).
-  // Each enabled gate of RunConfig::slate.guard overrides its counterpart
-  // here at run time; see docs/control_plane.md.
+  // Control-plane hardening (`guard` directives); --no-guard disarms it.
+  // See docs/control_plane.md.
   GuardOptions guard;
-  // Demand forecasting shipped with the world (`forecast` directive). A
-  // RunConfig-armed kind overrides it wholesale; --no-forecast disarms it.
+  // Demand forecasting (`forecast` directive); --no-forecast disarms it.
   // See docs/forecasting.md.
   ForecastOptions forecast;
-  // Front-door admission control shipped with the world (`admission`
-  // directives). A RunConfig-enabled policy overrides it wholesale;
-  // --no-admission disarms it. See docs/overload.md.
+  // Front-door admission control (`admission` directives); --no-admission
+  // disarms it. See docs/overload.md.
   AdmissionPolicy admission;
-  // N-1 contingency planning shipped with the world (`contingency`
-  // directive). RunConfig-enabled options override it wholesale;
-  // --no-contingency disarms it. See docs/resilience.md.
+  // N-1 contingency planning (`contingency` directive); --no-contingency
+  // disarms it. See docs/resilience.md.
   ContingencyOptions contingency;
-  // Coordinated drains shipped with the world (`drain` directives and
-  // campaign-expanded drain events). Merged with RunConfig::drains at run
-  // time; --no-drains disarms the scenario's.
+  // Coordinated drains (`drain` directives and campaign-expanded drain
+  // events); --no-drains clears them. See docs/resilience.md.
   std::vector<DrainSpec> drains;
-  // Bi-level autoscaling x TE co-design shipped with the world (`bilevel`
-  // directive). RunConfig-enabled options override it wholesale;
-  // --no-bilevel disarms it. See docs/autoscaling.md.
+  // Bi-level autoscaling x TE co-design (`bilevel` directive). Requires
+  // PolicyKind::kSlate and RunConfig::autoscaler_enabled; silently inert
+  // otherwise. --no-bilevel disarms it. See docs/autoscaling.md.
   BilevelOptions bilevel;
 };
 
@@ -115,6 +118,7 @@ struct FailurePolicy {
   bool retry_excludes_failed = true;
 };
 
+// How one run executes. Subsystem policy is set on the Scenario.
 struct RunConfig {
   PolicyKind policy = PolicyKind::kSlate;
   double duration = 60.0;  // simulated seconds
@@ -126,6 +130,8 @@ struct RunConfig {
   // kStaticWeights: share of traffic each cluster keeps at home (the rest
   // spreads evenly across the other clusters).
   double static_local_share = 0.7;
+  // The SLATE controller's knobs. Its guard, forecast and contingency come
+  // from the Scenario; arming them here throws std::invalid_argument.
   GlobalControllerOptions slate;
   // Retained spans (0 disables tracing).
   std::size_t trace_capacity = 0;
@@ -143,21 +149,11 @@ struct RunConfig {
   bool autoscaler_enabled = false;
   AutoscalerOptions autoscaler;
 
-  // Bi-level autoscaling x TE co-design (docs/autoscaling.md). Requires
-  // kSlate and autoscaler_enabled; silently inert otherwise. Enabled here
-  // overrides the scenario's wholesale.
-  BilevelOptions bilevel;
-
   // Scheduled capacity changes (applied in addition to autoscaling).
   std::vector<CapacityEvent> capacity_events;
 
-  // Scheduled faults (merged with Scenario::faults) and the data plane's
-  // failure semantics.
-  FaultPlan faults;
+  // The data plane's failure semantics.
   FailurePolicy failure;
-  // Overload control (bounded queues, deadlines, circuit breaking). Each
-  // enabled sub-policy overrides the scenario's; see docs/overload.md.
-  OverloadPolicy overload;
   // Control-plane staleness tolerance, in control periods: a cluster
   // controller out of contact with the global controller for longer falls
   // back to locality failover; the global controller decays the demand
@@ -167,13 +163,6 @@ struct RunConfig {
   // (not just the measurement window) into ExperimentResult::*_series —
   // the goodput-over-time signal fault experiments are judged by.
   double timeseries_bucket = 0.0;
-  // Front-door admission control (token buckets at request birth). An
-  // enabled policy here overrides the scenario's wholesale; see
-  // docs/overload.md.
-  AdmissionPolicy admission;
-  // Coordinated drains scheduled by the harness (merged with the
-  // scenario's). See docs/resilience.md.
-  std::vector<DrainSpec> drains;
   // Record the per-control-period demand trace (offered vs. estimated vs.
   // forecast, per class x cluster cell) into ExperimentResult::demand_trace
   // — the slate_cli --dump-demand signal. Off by default: the trace is

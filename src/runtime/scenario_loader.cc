@@ -902,8 +902,10 @@ Scenario load_scenario(std::istream& input) {
              {"pad_step", &co.pad_step, kNumber, oo(0, 1)},
              {"min_cap", &co.min_utilization, kNumber, oc(0, 1)},
              {"hysteresis", &co.relax_hysteresis, kNumber, ge(0)}});
-      if (co.min_utilization > co.max_post_failure_utilization) {
-        fail(line_number, "contingency needs min_cap <= cap");
+      try {
+        co.validate();
+      } catch (const std::invalid_argument& e) {
+        fail(line_number, e.what());
       }
     } else if (directive == "drain") {
       // Coordinated drain (docs/resilience.md); cluster may be a forward

@@ -82,17 +82,22 @@ Simulation::Simulation(const Scenario& scenario, const RunConfig& config)
   const std::size_t S = app.service_count();
   const std::size_t K = app.class_count();
 
-  // Effective overload policy: the scenario ships one, each sub-policy the
-  // config enables overrides its counterpart (mirrors fault-plan merging).
+  // Subsystem policy lives on the Scenario alone. RunConfig::slate carries
+  // the controller's own knobs; an armed guard, forecast or contingency
+  // there is stale harness code, refused rather than silently ignored.
+  const char* armed = nullptr;
+  if (config_.slate.guard.any_enabled()) armed = "guard";
+  if (config_.slate.forecast.kind != ForecastKind::kNone) armed = "forecast";
+  if (config_.slate.contingency.enabled) armed = "contingency";
+  if (armed != nullptr) {
+    throw std::invalid_argument(std::string("Simulation: set Scenario::") +
+                                armed + ", not RunConfig::slate." + armed);
+  }
   overload_ = scenario_.overload;
-  if (config_.overload.queue.enabled()) overload_.queue = config_.overload.queue;
-  if (config_.overload.deadline.enabled) {
-    overload_.deadline = config_.overload.deadline;
-  }
-  if (config_.overload.breaker.enabled) {
-    overload_.breaker = config_.overload.breaker;
-  }
   overload_.validate(K);
+  scenario_.admission.validate(K);
+  scenario_.contingency.validate();
+
   deadline_by_class_.assign(K, ServiceStation::kNoDeadline);
   priority_by_class_.assign(K, 0);
   for (std::size_t k = 0; k < K; ++k) {
@@ -108,97 +113,49 @@ Simulation::Simulation(const Scenario& scenario, const RunConfig& config)
                                                      cluster_count_);
   }
 
-  // Effective control-plane guard: the scenario ships one, each gate the
-  // config enables overrides its counterpart (same merge the overload
-  // policy uses).
-  {
-    GuardOptions effective = scenario_.guard;
-    if (config_.slate.guard.admission.enabled) {
-      effective.admission = config_.slate.guard.admission;
-    }
-    if (config_.slate.guard.solver.enabled) {
-      effective.solver = config_.slate.guard.solver;
-    }
-    if (config_.slate.guard.rollout.enabled) {
-      effective.rollout = config_.slate.guard.rollout;
-    }
-    config_.slate.guard = effective;
+  // The controller reads its guard, contingency and forecast from the
+  // scenario. The harness owns the prediction horizon (one control period)
+  // and, for the oracle, the schedule the future is read from.
+  config_.slate.guard = scenario_.guard;
+  config_.slate.contingency = scenario_.contingency;
+  config_.slate.forecast = scenario_.forecast;
+  config_.slate.forecast.horizon = config_.control_period;
+  config_.slate.forecast.oracle_schedule =
+      scenario_.forecast.kind == ForecastKind::kOracle ? &scenario_.demand
+                                                       : nullptr;
+
+  // Front-door admission. The controller exists only when armed — a
+  // disabled policy leaves the data path bit-identical to a build without
+  // the subsystem.
+  if (scenario_.admission.enabled) {
+    admission_ = std::make_unique<AdmissionController>(scenario_.admission, K,
+                                                       cluster_count_);
   }
 
-  // Effective front-door admission policy: the scenario ships one
-  // (`admission` directives), a config-enabled policy overrides it
-  // wholesale. The controller exists only when armed — a disabled policy
-  // leaves the data path bit-identical to a build without the subsystem.
-  {
-    AdmissionPolicy effective =
-        config_.admission.enabled ? config_.admission : scenario_.admission;
-    effective.validate(K);
-    admission_policy_ = effective;
-    if (admission_policy_.enabled) {
-      admission_ = std::make_unique<AdmissionController>(admission_policy_, K,
-                                                         cluster_count_);
-    }
+  // Bi-level co-design needs both halves it couples — the SLATE control
+  // plane and the autoscalers — so it silently disarms without them (a
+  // scenario shipping `bilevel` must stay runnable under baseline policies
+  // and fixed capacity).
+  const BilevelOptions& bilevel = scenario_.bilevel;
+  bilevel_armed_ = bilevel.enabled && config_.policy == PolicyKind::kSlate &&
+                   config_.autoscaler_enabled;
+  if (bilevel_armed_ && bilevel.server_cost_weight > 0.0) {
+    // Arm the joint $/hr objective before the controller is built below:
+    // the solver prices planned busy work as the servers the autoscaler
+    // must keep provisioned for it (docs/autoscaling.md).
+    config_.slate.optimizer.server_cost_weight = bilevel.server_cost_weight;
+    config_.slate.optimizer.server_price_target =
+        bilevel.price_target > 0.0 ? bilevel.price_target
+                                   : config_.autoscaler.target_utilization;
   }
 
-  // Effective N-1 contingency options: the scenario ships one
-  // (`contingency` directive) and config-enabled options override it
-  // wholesale. The planner exists only when enabled — a disabled run solves
-  // exactly as before.
-  if (!config_.slate.contingency.enabled) {
-    config_.slate.contingency = scenario_.contingency;
-  }
-
-  // Effective bi-level co-design options: the scenario ships one (`bilevel`
-  // directive) and config-enabled options override it wholesale. The loop
-  // needs both halves it couples — the SLATE control plane and the
-  // autoscalers — so it silently disarms without them (a scenario shipping
-  // `bilevel` must stay runnable under baseline policies and fixed
-  // capacity).
-  {
-    BilevelOptions effective =
-        config_.bilevel.enabled ? config_.bilevel : scenario_.bilevel;
-    if (effective.enabled && (config_.policy != PolicyKind::kSlate ||
-                              !config_.autoscaler_enabled)) {
-      effective.enabled = false;
-    }
-    config_.bilevel = effective;
-    if (effective.enabled && effective.server_cost_weight > 0.0) {
-      // Arm the joint $/hr objective before the controller is built below:
-      // the solver prices planned busy work as the servers the autoscaler
-      // must keep provisioned for it (docs/autoscaling.md).
-      config_.slate.optimizer.server_cost_weight = effective.server_cost_weight;
-      config_.slate.optimizer.server_price_target =
-          effective.price_target > 0.0 ? effective.price_target
-                                       : config_.autoscaler.target_utilization;
-    }
-  }
-
-  // Effective drain schedule: the scenario's plus the config's, mirroring
-  // fault-plan merging. drain_keep_ is the data plane's per-cluster view; it
+  // drain_keep_ is the data plane's per-cluster view of the drains; it
   // moves only at global control barriers.
-  drains_ = scenario_.drains;
-  drains_.insert(drains_.end(), config_.drains.begin(), config_.drains.end());
   drain_keep_.assign(cluster_count_, 1.0);
-  for (const DrainSpec& d : drains_) {
+  for (const DrainSpec& d : scenario_.drains) {
     if (!d.cluster.valid() || d.cluster.index() >= cluster_count_) {
       throw std::invalid_argument("Simulation: drain targets an unknown cluster");
     }
-  }
-
-  // Effective forecast mode: the scenario ships one (forecast directive),
-  // and a config-armed kind overrides it wholesale. The harness owns the
-  // prediction horizon (one control period) and, for the oracle, the
-  // schedule the future is read from.
-  {
-    ForecastOptions effective =
-        config_.slate.forecast.kind != ForecastKind::kNone
-            ? config_.slate.forecast
-            : scenario_.forecast;
-    effective.horizon = config_.control_period;
-    effective.oracle_schedule = effective.kind == ForecastKind::kOracle
-                                    ? &scenario_.demand
-                                    : nullptr;
-    config_.slate.forecast = effective;
   }
 
   // Execution engine. The island partition and the conservative lookahead
@@ -220,14 +177,11 @@ Simulation::Simulation(const Scenario& scenario, const RunConfig& config)
     lookahead_ = std::numeric_limits<double>::infinity();
   }
 
-  // Fault injection: the scenario's shipped plan plus the config's. Fault
-  // transitions are control-plane events; they run on the global timeline
-  // (at window barriers when sharded) so every island observes each
-  // transition at the same boundary.
-  FaultPlan merged = scenario_.faults;
-  merged.append(config_.faults);
-  if (!merged.empty()) {
-    injector_ = std::make_unique<FaultInjector>(global_sim(), std::move(merged),
+  // Fault injection. Fault transitions are control-plane events; they run
+  // on the global timeline (at window barriers when sharded) so every
+  // island observes each transition at the same boundary.
+  if (!scenario_.faults.empty()) {
+    injector_ = std::make_unique<FaultInjector>(global_sim(), scenario_.faults,
                                                 cluster_count_, S);
   }
 
@@ -1488,11 +1442,11 @@ ExperimentResult Simulation::run() {
   }
 
   // Bi-level coordinator: bridges the controller and the autoscalers once
-  // per control period, on the global timeline (control_tick). The merge
-  // block already disarmed config_.bilevel unless both halves exist.
-  if (config_.bilevel.enabled) {
+  // per control period, on the global timeline (control_tick), when the
+  // constructor found both halves it couples.
+  if (bilevel_armed_) {
     bilevel_ = std::make_unique<BilevelCoordinator>(
-        *global_, config_.bilevel, config_.control_period, S, cluster_count_);
+        *global_, scenario_.bilevel, config_.control_period, S, cluster_count_);
     for (std::size_t i = 0; i < autoscalers_.size(); ++i) {
       if (autoscalers_[i] != nullptr) bilevel_->attach(i, autoscalers_[i].get());
     }
@@ -1531,7 +1485,7 @@ ExperimentResult Simulation::run() {
   // Drain orchestrator: one tick per control period on the global timeline,
   // scheduled before the control loop so a capacity change lands ahead of
   // the same period's solve. Unscheduled (zero events) with no drains.
-  if (!drains_.empty()) {
+  if (!scenario_.drains.empty()) {
     DrainOrchestrator::Hooks hooks;
     hooks.jobs_served = [this]() {
       std::uint64_t total = 0;
@@ -1545,7 +1499,7 @@ ExperimentResult Simulation::run() {
       apply_drain_keep(c, keep);
     };
     drain_orch_ = std::make_unique<DrainOrchestrator>(
-        drains_, config_.control_period, std::move(hooks));
+        scenario_.drains, config_.control_period, std::move(hooks));
     drain_timer_ = global_sim().schedule_scoped_periodic(
         config_.control_period,
         [this]() { drain_orch_->tick(global_sim().now()); });
@@ -1561,7 +1515,7 @@ ExperimentResult Simulation::run() {
   // timeline (at window barriers under the sharded engine, where every
   // island is quiesced). Scheduled only when armed with adapt on, so an
   // unarmed run executes zero extra events.
-  if (admission_ != nullptr && admission_policy_.adapt) {
+  if (admission_ != nullptr && scenario_.admission.adapt) {
     admission_timer_ = global_sim().schedule_scoped_periodic(
         config_.control_period, [this]() {
           const DemandForecaster* f =

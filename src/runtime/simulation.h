@@ -82,7 +82,7 @@ class Simulation {
     return global_.get();
   }
   [[nodiscard]] const TraceCollector& traces() const noexcept { return traces_; }
-  // Null unless the merged scenario+config fault plan is non-empty.
+  // Null unless the scenario's fault plan is non-empty.
   [[nodiscard]] const FaultInjector* fault_injector() const noexcept {
     return injector_.get();
   }
@@ -392,8 +392,7 @@ class Simulation {
   RunConfig config_;
   std::size_t cluster_count_;
 
-  // Effective overload policy: scenario's, with each enabled sub-policy of
-  // the config overriding its counterpart.
+  // The scenario's overload policy, kept local for the data path.
   OverloadPolicy overload_;
   // Precomputed per-class knobs (kNoDeadline / 0 when the sub-policy is off).
   std::vector<double> deadline_by_class_;
@@ -401,19 +400,16 @@ class Simulation {
   // Legacy-engine bank (null when sharded: each context owns its own).
   std::unique_ptr<CircuitBreakerBank> breakers_;
 
-  // Effective front-door admission policy (config overrides scenario
-  // wholesale when enabled) and its controller, null unless armed. The
+  // Front-door admission controller, null unless the scenario arms it. The
   // controller is shared across islands but every (class, cluster) cell
   // is touched only from its cluster's island between barriers; the
   // adaptation loop runs on the global timeline at window barriers.
-  AdmissionPolicy admission_policy_;
   std::unique_ptr<AdmissionController> admission_;
 
-  // Coordinated drains: the merged scenario+config schedule, the
-  // orchestrator driving it (null when no drains — an undrained run adds
-  // zero events and zero RNG draws), and the per-cluster keep-fraction the
-  // data plane reads. drain_keep_ changes only at global barriers.
-  std::vector<DrainSpec> drains_;
+  // Coordinated drains: the orchestrator driving the scenario's schedule
+  // (null when no drains — an undrained run adds zero events and zero RNG
+  // draws), and the per-cluster keep-fraction the data plane reads.
+  // drain_keep_ changes only at global barriers.
   std::unique_ptr<DrainOrchestrator> drain_orch_;
   std::vector<double> drain_keep_;
   // True once any cluster's keep-fraction hit 0 (fully evacuated): arms the
@@ -448,7 +444,9 @@ class Simulation {
   std::unique_ptr<GlobalController> global_;
   // Bi-level co-design coordinator (docs/autoscaling.md), created in run()
   // once the autoscalers exist; null when the subsystem is off — a disabled
-  // run touches neither the capacity view nor the autoscalers.
+  // run touches neither the capacity view nor the autoscalers. Armed when
+  // the scenario enables it under kSlate with the autoscalers on.
+  bool bilevel_armed_ = false;
   std::unique_ptr<BilevelCoordinator> bilevel_;
   std::unique_ptr<RoutingPolicy> baseline_policy_;  // legacy engine
 

@@ -222,7 +222,11 @@ TEST(AdmissionController, ForecastPreWidensAheadOfPredictedRamp) {
 
 // --- End-to-end pins (bench/ext_admission) ---------------------------------
 
-Scenario burst_scenario() {
+// Mid-tree shedding: bounded interior queues, deadlines carried for
+// accounting only — expired work is served anyway, making the wasted
+// server time visible. The front-door arm adds the admission gate on
+// top of the identical world.
+Scenario burst_scenario(bool front_door) {
   TwoClusterChainParams params;
   params.west_rps = 420.0;
   params.east_rps = 100.0;
@@ -230,14 +234,25 @@ Scenario burst_scenario() {
   const ClassId chain = scenario.app->find_class("chain");
   scenario.demand.add_step(chain, ClusterId{0}, 30.0, 1500.0);
   scenario.demand.add_step(chain, ClusterId{0}, 40.0, params.west_rps);
+  scenario.overload.queue.max_queue = 512;
+  scenario.overload.deadline.enabled = true;
+  scenario.overload.deadline.default_deadline = 0.5;
+  scenario.overload.deadline.propagate = false;
+  if (front_door) {
+    AdmissionPolicy& admission = scenario.admission;
+    admission.enabled = true;
+    admission.default_rate = 450.0;
+    admission.burst = 0.1;
+    admission.default_slo = 0.5;
+    admission.target_attainment = 0.9;
+    admission.headroom = 1.1;
+    admission.gain = 0.5;
+    admission.fair_floor = 0.02;
+  }
   return scenario;
 }
 
-// Mid-tree shedding: bounded interior queues, deadlines carried for
-// accounting only — expired work is served anyway, making the wasted
-// server time visible. The front-door arm adds the admission gate on
-// top of the identical config.
-RunConfig burst_config(bool front_door) {
+RunConfig burst_config() {
   RunConfig config;
   config.policy = PolicyKind::kLocalOnly;
   config.duration = 70.0;
@@ -248,27 +263,14 @@ RunConfig burst_config(bool front_door) {
   config.failure.call_timeout = 0.5;
   config.failure.max_retries = 2;
   config.failure.retry_excludes_failed = false;
-  config.overload.queue.max_queue = 512;
-  config.overload.deadline.enabled = true;
-  config.overload.deadline.default_deadline = 0.5;
-  config.overload.deadline.propagate = false;
-  if (front_door) {
-    config.admission.enabled = true;
-    config.admission.default_rate = 450.0;
-    config.admission.burst = 0.1;
-    config.admission.default_slo = 0.5;
-    config.admission.target_attainment = 0.9;
-    config.admission.headroom = 1.1;
-    config.admission.gain = 0.5;
-    config.admission.fair_floor = 0.02;
-  }
   return config;
 }
 
 TEST(AdmissionPins, FrontDoorSheddingDominatesMidTreeShedding) {
-  const Scenario scenario = burst_scenario();
-  const ExperimentResult mid = run_experiment(scenario, burst_config(false));
-  const ExperimentResult front = run_experiment(scenario, burst_config(true));
+  const ExperimentResult mid =
+      run_experiment(burst_scenario(false), burst_config());
+  const ExperimentResult front =
+      run_experiment(burst_scenario(true), burst_config());
 
   // The mid-tree arm genuinely wastes server time on expired work...
   EXPECT_GT(mid.wasted_server_seconds, 10.0);
@@ -283,7 +285,7 @@ TEST(AdmissionPins, FrontDoorSheddingDominatesMidTreeShedding) {
   EXPECT_GT(front.admission_adapt_rounds, 0u);
 }
 
-Scenario diurnal_scenario() {
+Scenario diurnal_scenario(bool admission) {
   TwoClassParams params;
   Scenario scenario = make_two_class_scenario(params);
   const ClassId light = scenario.app->find_class("L");
@@ -305,29 +307,30 @@ Scenario diurnal_scenario() {
   h.phase = 20.0;  // anti-phase: H peaks exactly when L troughs
   scenario.demand.set_rate(heavy, west, h.base);
   add_diurnal(scenario.demand, heavy, west, h);
+  if (admission) {
+    scenario.admission.enabled = true;
+    scenario.admission.default_rate = 400.0;
+    scenario.admission.default_slo = 0.25;
+    scenario.admission.target_attainment = 0.9;
+    scenario.admission.fair_floor = 0.2;
+  }
   return scenario;
 }
 
-RunConfig diurnal_config(bool admission) {
+RunConfig diurnal_config() {
   RunConfig config;
   config.policy = PolicyKind::kLocalOnly;
   config.duration = 90.0;
   config.warmup = 10.0;
   config.seed = 31;
-  if (admission) {
-    config.admission.enabled = true;
-    config.admission.default_rate = 400.0;
-    config.admission.default_slo = 0.25;
-    config.admission.target_attainment = 0.9;
-    config.admission.fair_floor = 0.2;
-  }
   return config;
 }
 
 TEST(AdmissionPins, AdaptiveLoopHoldsSloWithoutStarvingEitherClass) {
-  const Scenario scenario = diurnal_scenario();
-  const ExperimentResult base = run_experiment(scenario, diurnal_config(false));
-  const ExperimentResult ctl = run_experiment(scenario, diurnal_config(true));
+  const ExperimentResult base =
+      run_experiment(diurnal_scenario(false), diurnal_config());
+  const ExperimentResult ctl =
+      run_experiment(diurnal_scenario(true), diurnal_config());
   ASSERT_EQ(ctl.e2e_by_class.size(), 2u);
 
   for (std::size_t k = 0; k < 2; ++k) {
@@ -363,15 +366,13 @@ TEST(AdmissionPins, AdaptiveLoopHoldsSloWithoutStarvingEitherClass) {
 }
 
 TEST(AdmissionPins, DisabledAdmissionIsBitIdenticalToBaseline) {
-  const Scenario scenario = burst_scenario();
-  const RunConfig base = burst_config(false);
-  const ExperimentResult plain = run_experiment(scenario, base);
+  const ExperimentResult plain =
+      run_experiment(burst_scenario(false), burst_config());
 
-  // A populated-but-disabled config policy is inert.
-  RunConfig disabled = base;
-  disabled.admission = burst_config(true).admission;
+  // A populated-but-disabled policy is inert.
+  Scenario disabled = burst_scenario(true);
   disabled.admission.enabled = false;
-  expect_same_result(plain, run_experiment(scenario, disabled));
+  expect_same_result(plain, run_experiment(disabled, burst_config()));
 
   // Zero admission activity.
   EXPECT_EQ(plain.admission_admitted, 0u);
@@ -380,8 +381,8 @@ TEST(AdmissionPins, DisabledAdmissionIsBitIdenticalToBaseline) {
 }
 
 TEST(AdmissionAccounting, ConservationHoldsWhenArmed) {
-  const Scenario scenario = burst_scenario();
-  const ExperimentResult r = run_experiment(scenario, burst_config(true));
+  const ExperimentResult r =
+      run_experiment(burst_scenario(true), burst_config());
   // Every arrival meets the gate exactly once: admitted or rejected; gate
   // rejections never became station work.
   expect_conserved(r, /*admission_armed=*/true);
@@ -395,9 +396,9 @@ TEST(AdmissionAccounting, ConservationHoldsWhenArmed) {
 }
 
 TEST(AdmissionAccounting, DeterministicForSeed) {
-  const Scenario scenario = burst_scenario();
-  const ExperimentResult a = run_experiment(scenario, burst_config(true));
-  const ExperimentResult b = run_experiment(scenario, burst_config(true));
+  const Scenario scenario = burst_scenario(true);
+  const ExperimentResult a = run_experiment(scenario, burst_config());
+  const ExperimentResult b = run_experiment(scenario, burst_config());
   expect_same_result(a, b);
 }
 

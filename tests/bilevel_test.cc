@@ -140,37 +140,18 @@ TEST(Bilevel, InertWithoutPrerequisites) {
   const ExperimentResult plain =
       run_experiment(make_two_cluster_chain_scenario(), base);
 
-  RunConfig no_scaler = base;
-  no_scaler.bilevel.enabled = true;  // no autoscaler_enabled
-  const ExperimentResult r1 =
-      run_experiment(make_two_cluster_chain_scenario(), no_scaler);
+  Scenario armed = make_two_cluster_chain_scenario();
+  armed.bilevel.enabled = true;
+  const ExperimentResult r1 = run_experiment(armed, base);  // no autoscaler
   EXPECT_EQ(r1.bilevel_plans_pushed, 0u);
   expect_same_result(r1, plain);
 
   RunConfig wrong_policy = base;
   wrong_policy.policy = PolicyKind::kLocalityFailover;
   wrong_policy.autoscaler_enabled = true;
-  wrong_policy.bilevel.enabled = true;
-  const ExperimentResult r2 =
-      run_experiment(make_two_cluster_chain_scenario(), wrong_policy);
+  const ExperimentResult r2 = run_experiment(armed, wrong_policy);
   EXPECT_EQ(r2.bilevel_plans_pushed, 0u);
   EXPECT_EQ(r2.bilevel_capacity_overrides, 0u);
-}
-
-// A scenario's `bilevel` directive arms the loop without any RunConfig
-// override.
-TEST(Bilevel, ScenarioDirectiveEngages) {
-  RunConfig config;
-  config.policy = PolicyKind::kSlate;
-  config.duration = 20.0;
-  config.warmup = 5.0;
-  config.autoscaler_enabled = true;
-  config.autoscaler.evaluation_period = 2.0;
-
-  Scenario armed = make_two_cluster_chain_scenario();
-  armed.bilevel.enabled = true;
-  const ExperimentResult engaged = run_experiment(armed, config);
-  EXPECT_GT(engaged.bilevel_plans_pushed, 0u);
 }
 
 // --- The headline: co-design dominates open-loop ---------------------------
@@ -254,14 +235,12 @@ double slo_attainment(const ExperimentResult& r) {
 
 TEST(Bilevel, CoDesignDominatesOpenLoopOnTotalDollars) {
   const Scenario scenario = make_sun_scenario();
-
-  const RunConfig open_loop = sun_config();
-  RunConfig co_design = open_loop;
+  Scenario co_design = scenario;
   co_design.bilevel.enabled = true;
   co_design.bilevel.server_cost_weight = 3600.0;
 
-  const ExperimentResult open = run_experiment(scenario, open_loop);
-  const ExperimentResult co = run_experiment(scenario, co_design);
+  const ExperimentResult open = run_experiment(scenario, sun_config());
+  const ExperimentResult co = run_experiment(co_design, sun_config());
 
   // The coordinator actually ran and priced the fleet.
   EXPECT_GT(co.bilevel_plans_pushed, 0u);

@@ -365,13 +365,12 @@ TEST(ContingencyHeadline, ArmedRoutingHoldsGoodputThroughOutage) {
   Scenario scenario = triangle_scenario();
   scenario.faults.cluster_outage(ClusterId{1}, 40.0, 10.0);
 
-  RunConfig reactive = triangle_config();
-  const ExperimentResult r = run_experiment(scenario, reactive);
+  const ExperimentResult r = run_experiment(scenario, triangle_config());
 
-  RunConfig armed = triangle_config();
-  armed.slate.contingency.enabled = true;
-  armed.slate.contingency.max_post_failure_utilization = 0.95;
-  const ExperimentResult c = run_experiment(scenario, armed);
+  Scenario armed = scenario;
+  armed.contingency.enabled = true;
+  armed.contingency.max_post_failure_utilization = 0.95;
+  const ExperimentResult c = run_experiment(armed, triangle_config());
 
   const double r_pre = r.goodput_in_window(30.0, 40.0);
   const double r_during = r.goodput_in_window(42.0, 49.0);
@@ -403,13 +402,12 @@ TEST(ContingencyHeadline, CoordinatedDrainBeatsAbruptRemovalTenfold) {
   const ExperimentResult yank = run_experiment(yank_world, triangle_config());
 
   Scenario drain_world = triangle_scenario();
-  RunConfig drain_config = triangle_config();
   DrainSpec spec;
   spec.cluster = ClusterId{1};
   spec.start = 40.0;
   spec.over = 15.0;
-  drain_config.drains.push_back(spec);
-  const ExperimentResult drain = run_experiment(drain_world, drain_config);
+  drain_world.drains.push_back(spec);
+  const ExperimentResult drain = run_experiment(drain_world, triangle_config());
 
   auto removal_score = [](const ExperimentResult& r) {
     const double pre = r.goodput_in_window(30.0, 40.0);
@@ -439,7 +437,7 @@ TEST(ContingencyHeadline, CoordinatedDrainBeatsAbruptRemovalTenfold) {
 // nothing: two identical runs of the plain world agree bit-for-bit with a
 // run where the subsystem is explicitly disarmed.
 TEST(ContingencyHeadline, DisabledSubsystemIsInert) {
-  const char* with_directives_text = R"(
+  const Scenario with_directives = load_scenario_from_string(R"(
 cluster a
 cluster b
 rtt a b 20ms
@@ -451,9 +449,7 @@ demand k a 300
 demand k b 100
 contingency cap=0.9
 drain b @3s over=4s
-)";
-  const Scenario with_directives =
-      load_scenario_from_string(with_directives_text);
+)");
   Scenario plain = load_scenario_from_string(R"(
 cluster a
 cluster b
@@ -474,7 +470,7 @@ demand k b 100
 
   // Disarmed the way slate_cli --no-contingency --no-drains does it: the
   // fields cleared on the loaded scenario.
-  Scenario disarmed = load_scenario_from_string(with_directives_text);
+  Scenario disarmed = with_directives;
   disarmed.contingency = ContingencyOptions{};
   disarmed.drains.clear();
 

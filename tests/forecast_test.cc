@@ -255,8 +255,9 @@ TEST(DemandForecaster, BiasTracksSignedError) {
 // Follow-the-sun on the two-cluster chain: anti-phase 40 s sinusoids whose
 // local peaks exceed local capacity. The total is constant, so a controller
 // that knows where demand is going can always place the spill; a reactive
-// one chases the sun a couple control periods late.
-Scenario diurnal_scenario() {
+// one chases the sun a couple control periods late. `kind` arms the
+// forecaster (kNone: reactive).
+Scenario diurnal_scenario(ForecastKind kind) {
   TwoClusterChainParams params;
   params.west_servers = 1;
   params.east_servers = 1;
@@ -272,28 +273,28 @@ Scenario diurnal_scenario() {
   east.phase = 20.0;  // anti-phase: east peaks while west troughs
   add_diurnal(s.demand, ClassId{0}, ClusterId{0}, west);
   add_diurnal(s.demand, ClassId{0}, ClusterId{1}, east);
+  s.forecast.kind = kind;
+  s.forecast.season = 40;  // 40 s cycle / 1 s control period
   return s;
 }
 
-RunConfig diurnal_config(ForecastKind kind) {
+RunConfig diurnal_config() {
   RunConfig config;
   config.policy = PolicyKind::kSlate;
   config.duration = 240.0;
   config.warmup = 150.0;  // Holt-Winters initializes at 2 seasons = 80 s
   config.seed = 11;
   config.control_period = 1.0;
-  config.slate.forecast.kind = kind;
-  config.slate.forecast.season = 40;  // 40 s cycle / 1 s control period
   return config;
 }
 
 TEST(ForecastGauntlet, PredictiveBeatsReactiveOracleBoundsBoth) {
   const ExperimentResult reactive =
-      run_experiment(diurnal_scenario(), diurnal_config(ForecastKind::kNone));
+      run_experiment(diurnal_scenario(ForecastKind::kNone), diurnal_config());
   const ExperimentResult predictive = run_experiment(
-      diurnal_scenario(), diurnal_config(ForecastKind::kHoltWinters));
+      diurnal_scenario(ForecastKind::kHoltWinters), diurnal_config());
   const ExperimentResult oracle =
-      run_experiment(diurnal_scenario(), diurnal_config(ForecastKind::kOracle));
+      run_experiment(diurnal_scenario(ForecastKind::kOracle), diurnal_config());
 
   // The arms really differ in what fed the optimizer.
   EXPECT_EQ(reactive.forecast_solves, 0u);
@@ -315,13 +316,13 @@ TEST(ForecastGauntlet, StationaryLoadSeesNoRegression) {
   // the predictive arm must not be worse than reactive beyond noise.
   TwoClusterChainParams params;
   const Scenario s1 = make_two_cluster_chain_scenario(params);
-  const Scenario s2 = make_two_cluster_chain_scenario(params);
+  Scenario s2 = make_two_cluster_chain_scenario(params);
+  s2.forecast.kind = ForecastKind::kHoltWinters;
   RunConfig config;
   config.duration = 60.0;
   config.warmup = 15.0;
   config.seed = 5;
   const ExperimentResult reactive = run_experiment(s1, config);
-  config.slate.forecast.kind = ForecastKind::kHoltWinters;
   const ExperimentResult predictive = run_experiment(s2, config);
   EXPECT_GT(predictive.forecast_solves, 0u);
   EXPECT_LT(predictive.mean_latency(), 1.05 * reactive.mean_latency());
@@ -340,10 +341,10 @@ TEST(ForecastGauntlet, UnconfidentForecasterIsByteIdenticalToReactive) {
   config.seed = 9;
   const ExperimentResult reactive =
       run_experiment(make_two_cluster_chain_scenario(params), config);
-  config.slate.forecast.kind = ForecastKind::kEwma;
-  config.slate.forecast.min_history = 1000000;
-  const ExperimentResult gated =
-      run_experiment(make_two_cluster_chain_scenario(params), config);
+  Scenario gated_world = make_two_cluster_chain_scenario(params);
+  gated_world.forecast.kind = ForecastKind::kEwma;
+  gated_world.forecast.min_history = 1000000;
+  const ExperimentResult gated = run_experiment(gated_world, config);
   EXPECT_GT(gated.forecast_solves, 0u);  // armed, stepped, predicted...
   EXPECT_DOUBLE_EQ(gated.forecast_mean_confidence, 0.0);  // ...but unproven
   EXPECT_EQ(gated.generated, reactive.generated);
@@ -357,8 +358,8 @@ TEST(ForecastGauntlet, UnconfidentForecasterIsByteIdenticalToReactive) {
 }
 
 TEST(ForecastGauntlet, DemandTraceRecordsAllThreeSignals) {
-  Scenario s = diurnal_scenario();
-  RunConfig config = diurnal_config(ForecastKind::kHoltWinters);
+  const Scenario s = diurnal_scenario(ForecastKind::kHoltWinters);
+  RunConfig config = diurnal_config();
   config.duration = 30.0;
   config.warmup = 5.0;
   config.record_demand_trace = true;

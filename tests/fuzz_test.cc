@@ -351,7 +351,7 @@ TEST_P(FuzzTest, OverloadRunsSatisfyConservationAndDeterminism) {
     config.warmup = 4.0;
     config.seed = seed;
     config.failure.enabled = rng.bernoulli(0.7);
-    config.overload = random_overload(rng, scenario.app->class_count());
+    scenario.overload = random_overload(rng, scenario.app->class_count());
 
     const ExperimentResult a = run_experiment(scenario, config);
     // Repeat first: the p99() checks below sort a.e2e in place.
@@ -364,8 +364,8 @@ TEST_P(FuzzTest, OverloadRunsSatisfyConservationAndDeterminism) {
       EXPECT_TRUE(std::isfinite(a.p99()));
     }
     // Wasted server time requires deadlines carried without propagation.
-    if (!a.generated || !config.overload.deadline.enabled ||
-        config.overload.deadline.propagate) {
+    if (!a.generated || !scenario.overload.deadline.enabled ||
+        scenario.overload.deadline.propagate) {
       EXPECT_EQ(a.wasted_server_seconds, 0.0);
     }
   }
@@ -461,14 +461,15 @@ TEST_P(FuzzTest, AdmissionRunsSatisfyConservationAndDeterminism) {
     config.warmup = 4.0;
     config.seed = seed;
     config.failure.enabled = rng.bernoulli(0.5);
-    config.admission = random_admission(rng, scenario.app->class_count());
+    Scenario armed = scenario;
+    armed.admission = random_admission(rng, scenario.app->class_count());
     if (rng.bernoulli(0.5)) {
-      config.overload = random_overload(rng, scenario.app->class_count());
+      armed.overload = random_overload(rng, scenario.app->class_count());
     }
 
-    const ExperimentResult a = run_experiment(scenario, config);
+    const ExperimentResult a = run_experiment(armed, config);
     // Repeat first: the p99() checks below sort a.e2e in place.
-    expect_same_result(a, run_experiment(scenario, config));
+    expect_same_result(a, run_experiment(armed, config));
     // Door conservation: every arrival is admitted or rejected, per class
     // and in total, and only admitted requests reach the engine; mid-tree
     // job conservation is unaffected by the door.
@@ -484,7 +485,7 @@ TEST_P(FuzzTest, AdmissionRunsSatisfyConservationAndDeterminism) {
     EXPECT_EQ(admitted_by_class, a.admission_admitted);
     EXPECT_EQ(rejected_by_class, a.admission_rejected);
     EXPECT_LE(a.completed, a.admission_admitted);
-    if (!config.admission.adapt) {
+    if (!armed.admission.adapt) {
       EXPECT_EQ(a.admission_rate_raises, 0u);
       EXPECT_EQ(a.admission_rate_cuts, 0u);
     }
@@ -843,16 +844,17 @@ TEST_P(FuzzTest, ForecastArmedRunsConserveAndParallelizeIdentically) {
   randomize_demand(scenario.demand, rng, *scenario.app,
                    scenario.topology->cluster_count(), duration);
 
+  std::vector<Scenario> worlds(3, scenario);
   std::vector<GridJob> jobs;
-  std::vector<RunConfig> configs(3);
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    configs[i].policy = PolicyKind::kSlate;
-    configs[i].duration = duration;
-    configs[i].warmup = 4.0;
-    configs[i].seed = seed + i;
-    configs[i].slate.forecast = random_forecast(rng);
-    configs[i].overload = random_overload(rng, scenario.app->class_count());
-    jobs.push_back(GridJob{&scenario, configs[i], strfmt("job-%zu", i)});
+  for (std::size_t i = 0; i < worlds.size(); ++i) {
+    worlds[i].forecast = random_forecast(rng);
+    worlds[i].overload = random_overload(rng, scenario.app->class_count());
+    RunConfig config;
+    config.policy = PolicyKind::kSlate;
+    config.duration = duration;
+    config.warmup = 4.0;
+    config.seed = seed + i;
+    jobs.push_back(GridJob{&worlds[i], config, strfmt("job-%zu", i)});
   }
 
   GridOptions serial;
@@ -910,28 +912,29 @@ TEST_P(FuzzTest, DrainRunsSatisfyConservationAndDeterminism) {
     config.warmup = 4.0;
     config.seed = seed;
     config.failure.enabled = rng.bernoulli(0.5);
-    config.drains = random_drains(rng, scenario.topology->cluster_count());
-    if (rng.bernoulli(0.5)) config.slate.contingency.enabled = true;
+    Scenario armed = scenario;
+    armed.drains = random_drains(rng, scenario.topology->cluster_count());
+    if (rng.bernoulli(0.5)) armed.contingency.enabled = true;
     if (rng.bernoulli(0.5)) {
-      config.admission = random_admission(rng, scenario.app->class_count());
+      armed.admission = random_admission(rng, scenario.app->class_count());
     }
     if (rng.bernoulli(0.5)) {
-      config.overload = random_overload(rng, scenario.app->class_count());
+      armed.overload = random_overload(rng, scenario.app->class_count());
     }
 
-    const ExperimentResult a = run_experiment(scenario, config);
+    const ExperimentResult a = run_experiment(armed, config);
     // Repeat first: the p99() checks below sort a.e2e in place.
-    expect_same_result(a, run_experiment(scenario, config));
+    expect_same_result(a, run_experiment(armed, config));
     // Job and door conservation survive any drain interleaving.
-    expect_conserved(a, config.admission.enabled);
-    if (!(config.overload.deadline.enabled &&
-          !config.overload.deadline.propagate)) {
+    expect_conserved(a, armed.admission.enabled);
+    if (!(armed.overload.deadline.enabled &&
+          !armed.overload.deadline.propagate)) {
       EXPECT_EQ(a.wasted_server_seconds, 0.0);
     }
     // Every drain resolves to exactly one terminal (or stays in flight at
     // the end of a short run); none is double-counted.
     EXPECT_LE(a.drains_completed + a.drains_cancelled, a.drains_started);
-    EXPECT_LE(a.drains_started, config.drains.size());
+    EXPECT_LE(a.drains_started, armed.drains.size());
     if (a.completed > 0) {
       EXPECT_TRUE(std::isfinite(a.p99()));
     }

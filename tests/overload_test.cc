@@ -318,19 +318,19 @@ TEST(DeadlinePropagation, CancelsExpiredWorkInsteadOfServingIt) {
   TwoClusterChainParams params;
   params.west_rps = 600.0;
   params.east_rps = 50.0;
-  const Scenario scenario = make_two_cluster_chain_scenario(params);
+  Scenario scenario = make_two_cluster_chain_scenario(params);
+  scenario.overload.deadline.enabled = true;
+  scenario.overload.deadline.default_deadline = 0.3;
 
   RunConfig config;
   config.policy = PolicyKind::kLocalOnly;
   config.duration = 30.0;
   config.warmup = 5.0;
   config.seed = 3;
-  config.overload.deadline.enabled = true;
-  config.overload.deadline.default_deadline = 0.3;
 
-  config.overload.deadline.propagate = true;
+  scenario.overload.deadline.propagate = true;
   const ExperimentResult with = run_experiment(scenario, config);
-  config.overload.deadline.propagate = false;
+  scenario.overload.deadline.propagate = false;
   const ExperimentResult without = run_experiment(scenario, config);
 
   // Propagation cancels expired work before it reaches a server: zero
@@ -357,17 +357,17 @@ TEST(DeadlinePropagation, BornDeadRedirectIsCancelledBeforeExecuteNode) {
   Scenario scenario = make_two_cluster_chain_scenario(params);
   scenario.deployment->undeploy(scenario.app->find_service("ingress"),
                                 ClusterId{0});
+  scenario.overload.deadline.enabled = true;
+  scenario.overload.deadline.default_deadline = 0.15;
 
+  RunConfig config;
+  config.policy = PolicyKind::kLocalOnly;
+  config.duration = 20.0;
+  config.warmup = 5.0;
+  config.seed = 11;
   for (bool propagate : {false, true}) {
     SCOPED_TRACE(propagate ? "propagate" : "accounting-only");
-    RunConfig config;
-    config.policy = PolicyKind::kLocalOnly;
-    config.duration = 20.0;
-    config.warmup = 5.0;
-    config.seed = 11;
-    config.overload.deadline.enabled = true;
-    config.overload.deadline.default_deadline = 0.15;
-    config.overload.deadline.propagate = propagate;
+    scenario.overload.deadline.propagate = propagate;
     const ExperimentResult r = run_experiment(scenario, config);
 
     EXPECT_GT(r.generated, 1000u);
@@ -382,7 +382,7 @@ TEST(DeadlinePropagation, BornDeadRedirectIsCancelledBeforeExecuteNode) {
 
 // --- End-to-end: the metastable-failure gauntlet ---------------------------
 
-RunConfig burst_config(bool protected_run) {
+RunConfig burst_config() {
   RunConfig config;
   config.policy = PolicyKind::kLocalOnly;
   config.duration = 55.0;
@@ -393,16 +393,10 @@ RunConfig burst_config(bool protected_run) {
   config.failure.call_timeout = 0.5;
   config.failure.max_retries = 2;
   config.failure.retry_excludes_failed = false;  // local-only: nowhere else
-  if (protected_run) {
-    config.overload.queue.max_queue = 64;
-    config.overload.deadline.enabled = true;
-    config.overload.deadline.default_deadline = 0.5;
-    config.overload.deadline.propagate = true;
-  }
   return config;
 }
 
-Scenario burst_scenario() {
+Scenario burst_scenario(bool protected_run) {
   TwoClusterChainParams params;
   params.west_rps = 420.0;
   params.east_rps = 100.0;
@@ -411,12 +405,18 @@ Scenario burst_scenario() {
   // 10s burst to ~3x capacity: [20, 30).
   scenario.demand.add_step(chain, ClusterId{0}, 20.0, 1500.0);
   scenario.demand.add_step(chain, ClusterId{0}, 30.0, params.west_rps);
+  if (protected_run) {
+    scenario.overload.queue.max_queue = 64;
+    scenario.overload.deadline.enabled = true;
+    scenario.overload.deadline.default_deadline = 0.5;
+    scenario.overload.deadline.propagate = true;
+  }
   return scenario;
 }
 
 TEST(MetastableGauntlet, UnprotectedGoodputStaysCollapsedAfterTheBurst) {
-  const Scenario scenario = burst_scenario();
-  const ExperimentResult r = run_experiment(scenario, burst_config(false));
+  const ExperimentResult r =
+      run_experiment(burst_scenario(false), burst_config());
   const double pre = r.goodput_in_window(10.0, 20.0);
   const double post = r.goodput_in_window(40.0, 55.0);
   ASSERT_GT(pre, 100.0);
@@ -428,8 +428,8 @@ TEST(MetastableGauntlet, UnprotectedGoodputStaysCollapsedAfterTheBurst) {
 }
 
 TEST(MetastableGauntlet, OverloadControlReconvergesToPreBurstGoodput) {
-  const Scenario scenario = burst_scenario();
-  const ExperimentResult r = run_experiment(scenario, burst_config(true));
+  const ExperimentResult r =
+      run_experiment(burst_scenario(true), burst_config());
   const double pre = r.goodput_in_window(10.0, 20.0);
   const double post = r.goodput_in_window(40.0, 55.0);
   ASSERT_GT(pre, 100.0);
@@ -464,7 +464,7 @@ TEST(CircuitBreakerEndToEnd, EjectsSlowReplicaAndRestoresGoodput) {
   config.failure.max_retries = 1;
 
   const ExperimentResult naive = run_experiment(scenario, config);
-  config.overload.breaker.enabled = true;
+  scenario.overload.breaker.enabled = true;
   const ExperimentResult protected_run = run_experiment(scenario, config);
 
   EXPECT_GE(protected_run.breaker_ejections, 1u);
@@ -478,11 +478,10 @@ TEST(CircuitBreakerEndToEnd, EjectsSlowReplicaAndRestoresGoodput) {
 // --- Conservation & determinism --------------------------------------------
 
 TEST(OverloadAccounting, JobConservationHoldsUnderBurstAndShedding) {
-  const Scenario scenario = burst_scenario();
   for (bool protected_run : {false, true}) {
     SCOPED_TRACE(protected_run ? "protected" : "unprotected");
     const ExperimentResult r =
-        run_experiment(scenario, burst_config(protected_run));
+        run_experiment(burst_scenario(protected_run), burst_config());
     // Every admitted job is accounted for exactly once.
     expect_conserved(r, /*admission_armed=*/false);
     // Station-level shed/evicted match the result's shed counters.
@@ -492,9 +491,9 @@ TEST(OverloadAccounting, JobConservationHoldsUnderBurstAndShedding) {
 }
 
 TEST(OverloadAccounting, DeterministicForSeed) {
-  const Scenario scenario = burst_scenario();
-  expect_same_result(run_experiment(scenario, burst_config(true)),
-                     run_experiment(scenario, burst_config(true)));
+  const Scenario scenario = burst_scenario(true);
+  expect_same_result(run_experiment(scenario, burst_config()),
+                     run_experiment(scenario, burst_config()));
 }
 
 }  // namespace

@@ -94,25 +94,30 @@ std::vector<GridJob> determinism_jobs(const Scenario& scenario) {
   return jobs;
 }
 
-TEST(ExperimentGrid, ParallelResultsMatchSerialExactly) {
-  TwoClusterChainParams params;
-  params.west_rps = 500.0;
-  const Scenario scenario = make_two_cluster_chain_scenario(params);
-  const std::vector<GridJob> jobs = determinism_jobs(scenario);
-
+// Runs `jobs` on one worker and on eight, expects every result to match,
+// and returns the serial results for the caller's vacuity checks.
+std::vector<ExperimentResult> serial_matching_parallel(
+    const std::vector<GridJob>& jobs) {
   GridOptions serial;
   serial.jobs = 1;
   GridOptions parallel;
   parallel.jobs = 8;
-  const std::vector<ExperimentResult> a = run_experiment_grid(jobs, serial);
+  std::vector<ExperimentResult> a = run_experiment_grid(jobs, serial);
   const std::vector<ExperimentResult> b = run_experiment_grid(jobs, parallel);
-
-  ASSERT_EQ(a.size(), jobs.size());
-  ASSERT_EQ(b.size(), jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
+  EXPECT_EQ(a.size(), jobs.size());
+  EXPECT_EQ(b.size(), jobs.size());
+  for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
     SCOPED_TRACE(i);
     expect_same_result(a[i], b[i]);
   }
+  return a;
+}
+
+TEST(ExperimentGrid, ParallelResultsMatchSerialExactly) {
+  TwoClusterChainParams params;
+  params.west_rps = 500.0;
+  const Scenario scenario = make_two_cluster_chain_scenario(params);
+  serial_matching_parallel(determinism_jobs(scenario));
 }
 
 TEST(ExperimentGrid, ParallelMatchesSerialWithOverloadControlEnabled) {
@@ -121,30 +126,18 @@ TEST(ExperimentGrid, ParallelMatchesSerialWithOverloadControlEnabled) {
   // every gate armed and actively shedding.
   TwoClusterChainParams params;
   params.west_rps = 650.0;  // overloaded: the gates fire constantly
-  const Scenario scenario = make_two_cluster_chain_scenario(params);
-  std::vector<GridJob> jobs = determinism_jobs(scenario);
-  for (GridJob& job : jobs) {
-    job.config.overload.queue.max_queue = 32;
-    job.config.overload.queue.codel_target = 0.02;
-    job.config.overload.deadline.enabled = true;
-    job.config.overload.deadline.default_deadline = 0.4;
-    job.config.overload.breaker.enabled = true;
-    job.config.overload.breaker.min_volume = 10;
-  }
+  Scenario scenario = make_two_cluster_chain_scenario(params);
+  scenario.overload.queue.max_queue = 32;
+  scenario.overload.queue.codel_target = 0.02;
+  scenario.overload.deadline.enabled = true;
+  scenario.overload.deadline.default_deadline = 0.4;
+  scenario.overload.breaker.enabled = true;
+  scenario.overload.breaker.min_volume = 10;
 
-  GridOptions serial;
-  serial.jobs = 1;
-  GridOptions parallel;
-  parallel.jobs = 8;
-  const std::vector<ExperimentResult> a = run_experiment_grid(jobs, serial);
-  const std::vector<ExperimentResult> b = run_experiment_grid(jobs, parallel);
-
-  ASSERT_EQ(a.size(), jobs.size());
   std::uint64_t overload_activity = 0;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    SCOPED_TRACE(i);
-    expect_same_result(a[i], b[i]);
-    overload_activity += a[i].total_shed() + a[i].deadline_cancellations;
+  for (const ExperimentResult& r :
+       serial_matching_parallel(determinism_jobs(scenario))) {
+    overload_activity += r.total_shed() + r.deadline_cancellations;
   }
   // The comparison is vacuous unless the subsystem actually did something.
   EXPECT_GT(overload_activity, 0u);
@@ -156,29 +149,17 @@ TEST(ExperimentGrid, ParallelMatchesSerialWithAdmissionArmed) {
   // rejecting and retuning.
   TwoClusterChainParams params;
   params.west_rps = 650.0;  // overloaded: the gate fires constantly
-  const Scenario scenario = make_two_cluster_chain_scenario(params);
-  std::vector<GridJob> jobs = determinism_jobs(scenario);
-  for (GridJob& job : jobs) {
-    job.config.admission.enabled = true;
-    job.config.admission.default_rate = 400.0;
-    job.config.admission.default_slo = 0.4;
-    job.config.admission.target_attainment = 0.9;
-  }
+  Scenario scenario = make_two_cluster_chain_scenario(params);
+  scenario.admission.enabled = true;
+  scenario.admission.default_rate = 400.0;
+  scenario.admission.default_slo = 0.4;
+  scenario.admission.target_attainment = 0.9;
 
-  GridOptions serial;
-  serial.jobs = 1;
-  GridOptions parallel;
-  parallel.jobs = 8;
-  const std::vector<ExperimentResult> a = run_experiment_grid(jobs, serial);
-  const std::vector<ExperimentResult> b = run_experiment_grid(jobs, parallel);
-
-  ASSERT_EQ(a.size(), jobs.size());
   std::uint64_t admission_activity = 0;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    SCOPED_TRACE(i);
-    expect_same_result(a[i], b[i]);
-    expect_conserved(a[i], /*admission_armed=*/true);
-    admission_activity += a[i].admission_rejected + a[i].admission_rate_cuts;
+  for (const ExperimentResult& r :
+       serial_matching_parallel(determinism_jobs(scenario))) {
+    expect_conserved(r, /*admission_armed=*/true);
+    admission_activity += r.admission_rejected + r.admission_rate_cuts;
   }
   // The comparison is vacuous unless the gate actually did something.
   EXPECT_GT(admission_activity, 0u);
@@ -211,20 +192,10 @@ TEST(ExperimentGrid, ParallelMatchesSerialWithGuardArmed) {
     jobs.push_back({&scenario, config, "guarded"});
   }
 
-  GridOptions serial;
-  serial.jobs = 1;
-  GridOptions parallel;
-  parallel.jobs = 8;
-  const std::vector<ExperimentResult> a = run_experiment_grid(jobs, serial);
-  const std::vector<ExperimentResult> b = run_experiment_grid(jobs, parallel);
-
-  ASSERT_EQ(a.size(), jobs.size());
   std::uint64_t guard_activity = 0;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    SCOPED_TRACE(i);
-    expect_same_result(a[i], b[i]);
-    guard_activity += a[i].guard_spikes_clamped + a[i].guard_fields_rejected +
-                      a[i].solver_fallbacks;
+  for (const ExperimentResult& r : serial_matching_parallel(jobs)) {
+    guard_activity +=
+        r.guard_spikes_clamped + r.guard_fields_rejected + r.solver_fallbacks;
   }
   // The comparison is vacuous unless the guard actually did something.
   EXPECT_GT(guard_activity, 0u);
@@ -236,32 +207,20 @@ TEST(ExperimentGrid, ParallelMatchesSerialWithDrainAndContingencyArmed) {
   // may leak state across grid workers.
   TwoClusterChainParams params;
   params.west_rps = 500.0;
-  const Scenario scenario = make_two_cluster_chain_scenario(params);
-  std::vector<GridJob> jobs = determinism_jobs(scenario);
-  for (GridJob& job : jobs) {
-    job.config.slate.contingency.enabled = true;
-    DrainSpec drain;
-    drain.cluster = ClusterId{1};
-    drain.start = 3.0;
-    drain.over = 3.0;
-    job.config.drains.push_back(drain);
-  }
+  Scenario scenario = make_two_cluster_chain_scenario(params);
+  scenario.contingency.enabled = true;
+  DrainSpec drain;
+  drain.cluster = ClusterId{1};
+  drain.start = 3.0;
+  drain.over = 3.0;
+  scenario.drains.push_back(drain);
 
-  GridOptions serial;
-  serial.jobs = 1;
-  GridOptions parallel;
-  parallel.jobs = 8;
-  const std::vector<ExperimentResult> a = run_experiment_grid(jobs, serial);
-  const std::vector<ExperimentResult> b = run_experiment_grid(jobs, parallel);
-
-  ASSERT_EQ(a.size(), jobs.size());
   std::uint64_t contingency_activity = 0;
   std::uint64_t drain_activity = 0;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    SCOPED_TRACE(i);
-    expect_same_result(a[i], b[i]);
-    contingency_activity += a[i].contingency_evals;
-    drain_activity += a[i].drain_steps;
+  for (const ExperimentResult& r :
+       serial_matching_parallel(determinism_jobs(scenario))) {
+    contingency_activity += r.contingency_evals;
+    drain_activity += r.drain_steps;
   }
   // Vacuous unless both subsystems actually engaged somewhere in the grid
   // (contingency only arms under SLATE; the drain runs under every policy).

@@ -167,8 +167,9 @@ TEST(ShardedSimulator, DeterministicAcrossWorkerCounts) {
 // The gauntlet: every scenario runs the same config at shards 1/2/4/8 and
 // must produce byte-identical results; the serial (shards=0) engine must
 // generate the identical workload (the per-stream arrival sequences are
-// engine-invariant even though routing draws are not shared).
-void run_gauntlet(const Scenario& scenario, const RunConfig& base) {
+// engine-invariant even though routing draws are not shared). Returns the
+// sharded result, for the caller's vacuity checks.
+ExperimentResult run_gauntlet(const Scenario& scenario, const RunConfig& base) {
   const ExperimentResult legacy = run_experiment(scenario, base);
   RunConfig config = base;
   config.shards = 1;
@@ -181,6 +182,7 @@ void run_gauntlet(const Scenario& scenario, const RunConfig& base) {
     const ExperimentResult many = run_experiment(scenario, config);
     expect_same_result(one, many);
   }
+  return one;
 }
 
 RunConfig gauntlet_config(PolicyKind policy) {
@@ -231,32 +233,28 @@ TEST(ShardedSimulation, IdentityOverloadArmed) {
   GcpChainParams params;
   params.rps[0] = 1200.0;  // overloaded: the gates fire constantly
   params.rps[2] = 1200.0;
-  const Scenario scenario = make_gcp_chain_scenario(params);
-  RunConfig config = gauntlet_config(PolicyKind::kSlate);
-  config.overload.queue.max_queue = 32;
-  config.overload.queue.codel_target = 0.02;
-  config.overload.deadline.enabled = true;
-  config.overload.deadline.default_deadline = 0.4;
-  config.overload.breaker.enabled = true;
-  config.overload.breaker.min_volume = 10;
-  run_gauntlet(scenario, config);
+  Scenario scenario = make_gcp_chain_scenario(params);
+  scenario.overload.queue.max_queue = 32;
+  scenario.overload.queue.codel_target = 0.02;
+  scenario.overload.deadline.enabled = true;
+  scenario.overload.deadline.default_deadline = 0.4;
+  scenario.overload.breaker.enabled = true;
+  scenario.overload.breaker.min_volume = 10;
+  run_gauntlet(scenario, gauntlet_config(PolicyKind::kSlate));
 }
 
 TEST(ShardedSimulation, IdentityAdmissionArmed) {
   GcpChainParams params;
   params.rps[0] = 1200.0;  // overloaded: the gate fires constantly
   params.rps[2] = 1200.0;
-  const Scenario scenario = make_gcp_chain_scenario(params);
-  RunConfig config = gauntlet_config(PolicyKind::kSlate);
-  config.admission.enabled = true;
-  config.admission.default_rate = 900.0;
-  config.admission.default_slo = 0.4;
-  config.admission.target_attainment = 0.9;
-  run_gauntlet(scenario, config);
+  Scenario scenario = make_gcp_chain_scenario(params);
+  scenario.admission.enabled = true;
+  scenario.admission.default_rate = 900.0;
+  scenario.admission.default_slo = 0.4;
+  scenario.admission.target_attainment = 0.9;
   // The gauntlet is vacuous unless the gate actually rejected work.
-  RunConfig probe = config;
-  probe.shards = 2;
-  const ExperimentResult r = run_experiment(scenario, probe);
+  const ExperimentResult r =
+      run_gauntlet(scenario, gauntlet_config(PolicyKind::kSlate));
   EXPECT_GT(r.admission_rejected, 0u);
   expect_conserved(r, /*admission_armed=*/true);
   EXPECT_GT(r.admission_adapt_rounds, 0u);
@@ -274,9 +272,8 @@ TEST(ShardedSimulation, IdentityGuardArmed) {
 
 TEST(ShardedSimulation, IdentityForecastArmed) {
   Scenario scenario = make_gcp_chain_scenario();
-  RunConfig config = gauntlet_config(PolicyKind::kSlate);
-  config.slate.forecast.kind = ForecastKind::kEwma;
-  run_gauntlet(scenario, config);
+  scenario.forecast.kind = ForecastKind::kEwma;
+  run_gauntlet(scenario, gauntlet_config(PolicyKind::kSlate));
 }
 
 TEST(ShardedSimulation, IdentityDrainArmed) {
@@ -284,18 +281,15 @@ TEST(ShardedSimulation, IdentityDrainArmed) {
   // (solver + autoscaler views), and the control timeline; the keep-fraction
   // steps land at global barriers, so byte-identity must hold across shard
   // counts while a drain is actively walking a cluster to zero.
-  const Scenario scenario = make_gcp_chain_scenario();
-  RunConfig config = gauntlet_config(PolicyKind::kSlate);
+  Scenario scenario = make_gcp_chain_scenario();
   DrainSpec drain;
   drain.cluster = ClusterId{1};
   drain.start = 3.0;
   drain.over = 4.0;
-  config.drains.push_back(drain);
-  run_gauntlet(scenario, config);
+  scenario.drains.push_back(drain);
   // The gauntlet is vacuous unless the drain actually stepped.
-  RunConfig probe = config;
-  probe.shards = 2;
-  const ExperimentResult r = run_experiment(scenario, probe);
+  const ExperimentResult r =
+      run_gauntlet(scenario, gauntlet_config(PolicyKind::kSlate));
   EXPECT_EQ(r.drains_started, 1u);
   EXPECT_GT(r.drain_steps, 0u);
 }
@@ -303,13 +297,10 @@ TEST(ShardedSimulation, IdentityDrainArmed) {
 TEST(ShardedSimulation, IdentityContingencyArmed) {
   // N-1 headroom checks and padded re-solves run inside the control tick at
   // window barriers; arming them must not perturb shard-count identity.
-  const Scenario scenario = make_gcp_chain_scenario();
-  RunConfig config = gauntlet_config(PolicyKind::kSlate);
-  config.slate.contingency.enabled = true;
-  run_gauntlet(scenario, config);
-  RunConfig probe = config;
-  probe.shards = 2;
-  const ExperimentResult r = run_experiment(scenario, probe);
+  Scenario scenario = make_gcp_chain_scenario();
+  scenario.contingency.enabled = true;
+  const ExperimentResult r =
+      run_gauntlet(scenario, gauntlet_config(PolicyKind::kSlate));
   EXPECT_GT(r.contingency_evals, 0u);
 }
 
@@ -322,17 +313,14 @@ TEST(ShardedSimulation, IdentityBilevelArmed) {
   Scenario scenario = make_gcp_chain_scenario();
   scenario.topology->set_uniform_server_price(0.10);
   scenario.topology->set_server_price(ClusterId{0}, 0.04);
+  scenario.bilevel.enabled = true;
   RunConfig config = gauntlet_config(PolicyKind::kSlate);
   config.autoscaler_enabled = true;
   config.autoscaler.evaluation_period = 1.0;
   config.autoscaler.cooldown = 2.0;
   config.autoscaler.provision_delay = 2.0;
-  config.bilevel.enabled = true;
-  run_gauntlet(scenario, config);
   // The gauntlet is vacuous unless the loop actually closed.
-  RunConfig probe = config;
-  probe.shards = 2;
-  const ExperimentResult r = run_experiment(scenario, probe);
+  const ExperimentResult r = run_gauntlet(scenario, config);
   EXPECT_GT(r.bilevel_plans_pushed, 0u);
   EXPECT_GT(r.server_seconds, 0.0);
   EXPECT_GT(r.server_cost_dollars, 0.0);
