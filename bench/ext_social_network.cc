@@ -6,7 +6,6 @@
 // fan-out, fractional sub-calls, 50KB media responses) on the real GCP
 // topology with one hot region, comparing every policy in the library.
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_util.h"
 #include "net/gcp_topology.h"
@@ -17,15 +16,13 @@ using namespace slate;
 int main() {
   bench::print_header("Extension", "social-network app on the GCP topology");
 
-  // SLATE_SHARDS=<n> runs every job on the sharded engine with up to n
-  // workers (0 / unset = legacy serial engine). Results are byte-identical
-  // across worker counts, so CI's TSan smoke uses this to race-test the
-  // exact workload measured here.
-  std::size_t shards = 0;
-  if (const char* env = std::getenv("SLATE_SHARDS")) {
-    shards = static_cast<std::size_t>(std::strtoull(env, nullptr, 10));
-    std::printf("sharded engine: SLATE_SHARDS=%zu\n", shards);
-  }
+  // SLATE_SHARDS=<n> runs every job partitioned by latency island (one
+  // island per GCP region) with up to n workers; 0 / unset keeps the whole
+  // world on one island, the reference partition. Results are
+  // byte-identical across worker counts n >= 1, so CI's TSan smoke uses
+  // this to race-test the exact workload measured here.
+  const std::size_t shards = bench::env_count("SLATE_SHARDS", 0);
+  if (shards > 0) std::printf("latency islands: SLATE_SHARDS=%zu\n", shards);
 
   Scenario scenario = make_uniform_scenario(
       "social-network", make_social_network_app(), make_gcp_topology(), 2);

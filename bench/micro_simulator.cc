@@ -250,7 +250,7 @@ int main(int argc, char** argv) {
     RunConfig c = config;
     c.policy = PolicyKind::kSlate;
     rows.push_back(run_case("social-gcp", scenario, c));
-    // The same world on the sharded engine: one event loop per latency
+    // The same world partitioned by latency island: one event loop per
     // island, conservative lookahead from the inter-island RTT floor, and
     // the resolve_tolerance gate armed (steady demand should not re-solve
     // every period; the floor keeps sub-128-RPS Poisson noise from forcing

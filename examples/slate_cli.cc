@@ -53,6 +53,10 @@
 //                          mean +/- 95% CI across them (default 1)
 //   --jobs=<n>             worker threads for replications (default: all
 //                          hardware threads; results are independent of n)
+//   --shards=<n>           0 (default) runs the whole world as one island;
+//                          n >= 1 partitions it by latency island with up
+//                          to n worker threads (results are independent of
+//                          n >= 1; docs/performance.md)
 //
 // The scenario is the one source of subsystem policy. Each --no-<x> clears
 // that layer on the loaded scenario; the overlay flags (--forecast,

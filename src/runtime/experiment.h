@@ -136,13 +136,14 @@ struct RunConfig {
   // Retained spans (0 disables tracing).
   std::size_t trace_capacity = 0;
 
-  // Parallel sharded execution (docs/performance.md). 0 runs the legacy
-  // serial engine, bit-identical to previous releases. Any value >= 1
-  // partitions the simulation into one logical process per latency island
-  // (for GCP-like topologies, per cluster) under conservative-lookahead
-  // synchronization, with up to `shards` worker threads; shards=1 runs the
-  // same partitioned schedule single-threaded. All sharded runs of a config
-  // produce identical results regardless of the shard count.
+  // Island partition of the event engine (docs/performance.md). 0 puts the
+  // whole world on one island: the reference partition every committed
+  // figure uses. Any value >= 1 partitions the simulation into one logical
+  // process per latency island (for GCP-like topologies, per cluster)
+  // under conservative-lookahead synchronization, with up to `shards`
+  // worker threads; shards=1 runs the same partitioned schedule
+  // single-threaded. All runs of a config at shards >= 1 produce identical
+  // results regardless of the count.
   std::size_t shards = 0;
 
   // Horizontal autoscaling of every station (paper §5 interaction study).

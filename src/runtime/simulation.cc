@@ -18,43 +18,25 @@
 
 namespace slate {
 
-// Live per-(service, cluster) arrival-rate signal for Waterfall — the
-// (fresh) analogue of the load reports Traffic Director distributes.
-class Simulation::LiveLoadView final : public LoadView {
+// Per-(service, cluster) arrival-rate signal for Waterfall — the analogue
+// of the load reports Traffic Director distributes. With one island it
+// reads that island's meters live; with several it reads the snapshot the
+// barrier hook sums the islands' meters into, at most one lookahead window
+// stale — the same kind of staleness a distributed load-report bus has.
+class Simulation::WaterfallLoadView final : public LoadView {
  public:
-  LiveLoadView(const Simulator& sim, std::size_t services, std::size_t clusters,
-               double tau = 1.0)
-      : sim_(sim), clusters_(clusters), meters_(services * clusters, RateMeter(tau)) {}
-
-  void observe(ServiceId s, ClusterId c) {
-    meters_[s.index() * clusters_ + c.index()].observe(sim_.now());
-  }
+  explicit WaterfallLoadView(const Simulation& owner) : owner_(owner) {}
 
   [[nodiscard]] double load_rps(ServiceId s, ClusterId c) const override {
-    return meters_[s.index() * clusters_ + c.index()].rate(sim_.now());
+    if (owner_.island_count_ > 1) {
+      return owner_.waterfall_snapshot_(s.index(), c.index());
+    }
+    const ExecCtx& cx = *owner_.ctxs_.front();
+    return cx.load_meters[owner_.station_index(s, c)].rate(cx.sim->now());
   }
 
  private:
-  const Simulator& sim_;
-  std::size_t clusters_;
-  std::vector<RateMeter> meters_;
-};
-
-// Sharded Waterfall load signal: islands observe into private meters during
-// a window; the barrier hook sums them into the shared snapshot this view
-// reads. At most one lookahead window stale — the same kind of staleness a
-// distributed load-report bus has.
-class Simulation::SnapshotLoadView final : public LoadView {
- public:
-  explicit SnapshotLoadView(const FlatMatrix<double>& snapshot)
-      : snapshot_(&snapshot) {}
-
-  [[nodiscard]] double load_rps(ServiceId s, ClusterId c) const override {
-    return (*snapshot_)(s.index(), c.index());
-  }
-
- private:
-  const FlatMatrix<double>* snapshot_;
+  const Simulation& owner_;
 };
 
 Simulation::~Simulation() = default;
@@ -67,8 +49,7 @@ Simulation::Simulation(const Scenario& scenario, const RunConfig& config)
       // Forking mutates the parent stream; the chaos stream forks a fresh
       // copy of the seed so arming it never perturbs the workload/station/
       // routing draws of an otherwise-identical run.
-      rng_chaos_([&config] { return Rng(config.seed).fork(3); }()),
-      traces_(config.trace_capacity) {
+      rng_chaos_([&config] { return Rng(config.seed).fork(3); }()) {
   const Application& app = *scenario_.app;
   app.validate();
   scenario_.deployment->validate();
@@ -105,12 +86,6 @@ Simulation::Simulation(const Scenario& scenario, const RunConfig& config)
       deadline_by_class_[k] = overload_.deadline.deadline_for(ClassId{k});
     }
     priority_by_class_[k] = overload_.queue.priority_of(ClassId{k});
-  }
-  if (overload_.breaker.enabled && config_.shards == 0) {
-    // Legacy engine: one shared bank. The sharded engine gives each island
-    // its own (caller-side health is island-local state).
-    breakers_ = std::make_unique<CircuitBreakerBank>(overload_.breaker, S,
-                                                     cluster_count_);
   }
 
   // The controller reads its guard, contingency and forecast from the
@@ -163,26 +138,26 @@ Simulation::Simulation(const Scenario& scenario, const RunConfig& config)
   // worker-thread count (byte-identical output for any --shards >= 1).
   if (config_.shards > 0) {
     compute_islands();
-    // Worker threads clamp to hardware as well as to the island count:
-    // oversubscribing cores buys nothing but context switches, and the
-    // schedule (hence the output) never depends on the worker count.
-    const std::size_t hw =
-        std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    sharded_ = std::make_unique<ShardedSimulator>(
-        island_count_, lookahead_,
-        std::min({config_.shards, island_count_, hw}));
   } else {
     island_of_.assign(cluster_count_, 0);
     island_count_ = 1;
     lookahead_ = std::numeric_limits<double>::infinity();
   }
+  // Worker threads clamp to hardware as well as to the island count:
+  // oversubscribing cores buys nothing but context switches, and the
+  // schedule (hence the output) never depends on the worker count.
+  const std::size_t hw =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  engine_.emplace(
+      island_count_, lookahead_,
+      std::min({std::max<std::size_t>(config_.shards, 1), island_count_, hw}));
 
   // Fault injection. Fault transitions are control-plane events; they run
-  // on the global timeline (at window barriers when sharded) so every
-  // island observes each transition at the same boundary.
+  // on the global timeline (at window barriers) so every island observes
+  // each transition at the same boundary.
   if (!scenario_.faults.empty()) {
-    injector_ = std::make_unique<FaultInjector>(global_sim(), scenario_.faults,
-                                                cluster_count_, S);
+    injector_ = std::make_unique<FaultInjector>(
+        engine_->global(), scenario_.faults, cluster_count_, S);
   }
 
   // Per-cluster telemetry and rule executors.
@@ -194,50 +169,38 @@ Simulation::Simulation(const Scenario& scenario, const RunConfig& config)
         std::make_shared<WeightedRulesPolicy>(*scenario_.topology));
   }
 
-  // Execution contexts. The fork order on the root stream is load-bearing
-  // and mirrors the legacy engine exactly: fork(2) routing (here), fork(1)
-  // stations (below), fork(0) workload (in run()).
+  // Execution contexts. The fork order on the root stream is load-bearing:
+  // fork(2) routing (here), fork(1) stations (below), fork(0) workload (in
+  // run()).
   Rng routing_parent = rng_root_.fork(2);
-  const std::size_t n_ctx = sharded_ != nullptr ? island_count_ : 1;
-  ctxs_.reserve(n_ctx);
-  for (std::size_t i = 0; i < n_ctx; ++i) {
-    auto cx = std::make_unique<ExecCtx>(
-        *scenario_.topology, sharded_ != nullptr ? config_.trace_capacity : 0);
+  ctxs_.reserve(island_count_);
+  for (std::size_t i = 0; i < island_count_; ++i) {
+    auto cx = std::make_unique<ExecCtx>(*scenario_.topology,
+                                        config_.trace_capacity);
     cx->island = static_cast<std::uint32_t>(i);
-    if (sharded_ != nullptr) {
-      cx->sim = &sharded_->lp(i);
-      // Per-island routing stream: each island forks the same parent state
-      // with its own tag, so streams are decorrelated and — critically —
-      // independent of every other island's draw count. A single island
-      // takes the parent stream itself and reproduces the legacy engine's
-      // draws exactly.
-      if (island_count_ == 1) {
-        cx->rng_routing = routing_parent;
-      } else {
-        Rng parent = routing_parent;
-        cx->rng_routing = parent.fork(i);
-      }
-      // Island-tagged id counters keep merged traces collision-free.
-      cx->next_request = static_cast<std::uint64_t>(i) << 24;
-      cx->next_span = (static_cast<std::uint64_t>(i) << 48) | 1;
-      cx->res_owned = std::make_unique<ExperimentResult>();
-      cx->res = cx->res_owned.get();
-      cx->traces = cx->traces_owned.enabled() ? &cx->traces_owned : nullptr;
-      if (overload_.breaker.enabled) {
-        cx->breakers_owned = std::make_unique<CircuitBreakerBank>(
-            overload_.breaker, S, cluster_count_);
-        cx->breakers = cx->breakers_owned.get();
-      }
-      if (config_.policy == PolicyKind::kWaterfall) {
-        cx->load_meters.assign(S * cluster_count_, RateMeter(1.0));
-      }
+    cx->sim = &engine_->lp(i);
+    // Per-island routing stream: each island forks the same parent state
+    // with its own tag, so streams are decorrelated and — critically —
+    // independent of every other island's draw count. A single island
+    // takes the parent stream itself.
+    if (island_count_ == 1) {
+      cx->rng_routing = routing_parent;
     } else {
-      cx->sim = &sim_;
-      cx->rng_routing = routing_parent;  // the legacy fork(2) stream itself
-      cx->res = &result_;
-      cx->traces = traces_.enabled() ? &traces_ : nullptr;
-      cx->breakers = breakers_.get();
+      Rng parent = routing_parent;
+      cx->rng_routing = parent.fork(i);
     }
+    // Island-tagged id counters keep merged traces collision-free.
+    cx->next_request = static_cast<std::uint64_t>(i) << 24;
+    cx->next_span = (static_cast<std::uint64_t>(i) << 48) | 1;
+    if (overload_.breaker.enabled) {
+      // Caller-side health is island-local state: one bank per island.
+      cx->breakers = std::make_unique<CircuitBreakerBank>(overload_.breaker,
+                                                          S, cluster_count_);
+    }
+    if (config_.policy == PolicyKind::kWaterfall) {
+      cx->load_meters.assign(S * cluster_count_, RateMeter(1.0));
+    }
+    init_result_shape(cx->res);
     ctxs_.push_back(std::move(cx));
   }
 
@@ -264,15 +227,16 @@ Simulation::Simulation(const Scenario& scenario, const RunConfig& config)
         stations_[station_index(svc, cluster)]->configure_overload(sc);
       }
       proxies_[station_index(svc, cluster)] = std::make_unique<SlateProxy>(
-          svc, *registries_[c], rule_policies_[c], ctx_of(cluster).traces);
+          svc, *registries_[c], rule_policies_[c],
+          ctx_of(cluster).traces.enabled() ? &ctx_of(cluster).traces : nullptr);
     }
   }
 
-  if (sharded_ == nullptr) {
-    load_view_ = std::make_unique<LiveLoadView>(sim_, S, cluster_count_);
-  } else if (config_.policy == PolicyKind::kWaterfall) {
-    waterfall_snapshot_ = FlatMatrix<double>(S, cluster_count_, 0.0);
-    snapshot_view_ = std::make_unique<SnapshotLoadView>(waterfall_snapshot_);
+  if (config_.policy == PolicyKind::kWaterfall) {
+    load_view_ = std::make_unique<WaterfallLoadView>(*this);
+    if (island_count_ > 1) {
+      waterfall_snapshot_ = FlatMatrix<double>(S, cluster_count_, 0.0);
+    }
   }
 
   // Candidate clusters per service (deployment is immutable during a run).
@@ -294,25 +258,19 @@ Simulation::Simulation(const Scenario& scenario, const RunConfig& config)
           ClusterId{c}, K, *registries_[c], std::move(cluster_stations),
           rule_policies_[c]));
     }
-  } else if (sharded_ == nullptr) {
-    baseline_policy_ = make_baseline(load_view_.get());
-    ctxs_[0]->baseline = baseline_policy_.get();
   } else {
     // Per-island policy instances: stateful baselines (round-robin cursors,
     // waterfall internals) are data-plane state and must not be shared
     // across concurrently executing islands.
-    for (auto& cx : ctxs_) {
-      cx->baseline_owned = make_baseline(snapshot_view_.get());
-      cx->baseline = cx->baseline_owned.get();
-    }
+    for (auto& cx : ctxs_) cx->baseline = make_baseline(load_view_.get());
   }
 
-  // Result containers.
+  // Result identity; the data-plane rows take their shape from the island
+  // merge at run end.
   result_.scenario = scenario_.name;
   result_.policy = to_string(config_.policy);
-  init_result_shape(result_);
-  if (sharded_ != nullptr) {
-    for (auto& cx : ctxs_) init_result_shape(*cx->res_owned);
+  if (config_.timeseries_bucket > 0.0) {
+    result_.series_bucket = config_.timeseries_bucket;
   }
 
   // Pre-size the event queues: walk each demand stream's piecewise-constant
@@ -337,12 +295,8 @@ Simulation::Simulation(const Scenario& scenario, const RunConfig& config)
     const double est = peak_rps * 0.25 + static_cast<double>(streams.size()) + 64.0;
     const std::size_t reserve = std::clamp(
         static_cast<std::size_t>(est), std::size_t{1024}, std::size_t{1} << 20);
-    if (sharded_ != nullptr) {
-      for (std::size_t i = 0; i < island_count_; ++i) {
-        sharded_->lp(i).reserve_events(reserve / island_count_ + 64);
-      }
-    } else {
-      sim_.reserve_events(reserve);
+    for (std::size_t i = 0; i < island_count_; ++i) {
+      engine_->lp(i).reserve_events(reserve / island_count_ + 64);
     }
   }
 }
@@ -441,7 +395,6 @@ void Simulation::init_result_shape(ExperimentResult& r) const {
         std::get<std::vector<std::uint64_t> ExperimentResult::*>(row.member);
     (r.*member).assign(row.kind == CounterKind::kPerClass ? K : buckets, 0);
   }
-  if (buckets > 0) r.series_bucket = config_.timeseries_bucket;
   r.e2e_by_class.resize(K);
   r.flows.resize(K);
   for (std::size_t k = 0; k < K; ++k) {
@@ -461,13 +414,8 @@ double Simulation::net_delay(ExecCtx& cx, ClusterId from, ClusterId to) {
 }
 
 void Simulation::observe_load(ExecCtx& cx, ServiceId s, ClusterId c) {
-  if (load_view_ != nullptr) {
-    load_view_->observe(s, c);
-    return;
-  }
   if (!cx.load_meters.empty()) {
-    cx.load_meters[s.index() * cluster_count_ + c.index()].observe(
-        cx.sim->now());
+    cx.load_meters[station_index(s, c)].observe(cx.sim->now());
   }
 }
 
@@ -484,20 +432,20 @@ void Simulation::finish_request_tail(ExecCtx& cx, ClassId cls,
   if (config_.timeseries_bucket > 0.0) {
     const auto b =
         static_cast<std::size_t>(cx.sim->now() / config_.timeseries_bucket);
-    auto& series = ok ? cx.res->completed_series : cx.res->failed_series;
+    auto& series = ok ? cx.res.completed_series : cx.res.failed_series;
     if (b < series.size()) ++series[b];
   }
   if (!measuring_) return;
   if (ok) {
-    ++cx.res->completed;
-    cx.res->e2e.add(e2e);
-    cx.res->e2e_by_class[cls.index()].add(e2e);
+    ++cx.res.completed;
+    cx.res.e2e.add(e2e);
+    cx.res.e2e_by_class[cls.index()].add(e2e);
     if (admission_ != nullptr && e2e <= admission_->slo_for(cls)) {
-      ++cx.res->slo_hits_by_class[cls.index()];
+      ++cx.res.slo_hits_by_class[cls.index()];
     }
   } else {
-    ++cx.res->failed;
-    ++cx.res->failed_by_class[cls.index()];
+    ++cx.res.failed;
+    ++cx.res.failed_by_class[cls.index()];
   }
 }
 
@@ -511,7 +459,7 @@ void Simulation::finish_request(ExecCtx& cx, const RequestState& req, bool ok,
 void Simulation::on_arrival(ClassId cls, ClusterId cluster) {
   const Application& app = *scenario_.app;
   ExecCtx& cx = ctx_of(cluster);
-  ++cx.res->generated;
+  ++cx.res.generated;
 
   ReqPtr req = cx.request_pool.make();
   req->id = RequestId{cx.next_request++};
@@ -528,15 +476,15 @@ void Simulation::on_arrival(ClassId cls, ClusterId cluster) {
   // synchronously as a fast-fail error.
   if (admission_ != nullptr) {
     if (!admission_->try_admit(cls, cluster, cx.sim->now())) {
-      ++cx.res->admission_rejected;
-      ++cx.res->admission_rejected_by_class[cls.index()];
+      ++cx.res.admission_rejected;
+      ++cx.res.admission_rejected_by_class[cls.index()];
       registries_[cluster.index()]->record_ingress_rejected(cls);
       finish_request_tail(cx, cls, cluster, /*ok=*/false, /*e2e=*/0.0,
                           /*admitted=*/false);
       return;
     }
-    ++cx.res->admission_admitted;
-    ++cx.res->admission_admitted_by_class[cls.index()];
+    ++cx.res.admission_admitted;
+    ++cx.res.admission_admitted_by_class[cls.index()];
   }
 
   registries_[cluster.index()]->record_ingress(cls, cx.sim->now());
@@ -589,7 +537,7 @@ void Simulation::on_arrival(ClassId cls, ClusterId cluster) {
         entry_cluster = cluster;
       } else {
         // Every cluster hosting the entry service is down.
-        ++cx.res->call_rejections;
+        ++cx.res.call_rejections;
         finish_request(cx, *req, false, entry, cluster);
         return;
       }
@@ -599,7 +547,7 @@ void Simulation::on_arrival(ClassId cls, ClusterId cluster) {
   }
 
   if (measuring_) {
-    cx.res->flows[cls.index()][0](cluster.index(), entry_cluster.index())++;
+    cx.res.flows[cls.index()][0](cluster.index(), entry_cluster.index())++;
   }
   observe_load(cx, entry, entry_cluster);
 
@@ -633,7 +581,7 @@ void Simulation::on_arrival(ClassId cls, ClusterId cluster) {
         // redirect hop. Cancel before execute_node ever runs — even
         // without propagation, work already expired at arrival must not
         // be enqueued.
-        ++ce.res->deadline_cancellations;
+        ++ce.res.deadline_cancellations;
         const double d2 = net_delay(ce, entry_cluster, cluster);
         ce.sim->schedule_after(d2, [finish = std::move(finish)]() mutable {
           finish(false);
@@ -667,21 +615,21 @@ void Simulation::on_arrival(ClassId cls, ClusterId cluster) {
   // ingress later counts — the network delay home is added before the
   // observation, not after); the ingress island keeps the run counters.
   const RequestState snap = *req;
-  sharded_->send(
+  engine_->send(
       cx.island, island_of(entry_cluster), cx.sim->now() + d1,
       [this, snap, entry, entry_cluster, cluster]() {
         ExecCtx& ce = ctx_of(entry_cluster);
         if (overload_.deadline.enabled && snap.deadline <= ce.sim->now()) {
           // Born dead in transit (cross-island): cancel at delivery,
           // before the remote pool entry or execute_node exist.
-          ++ce.res->deadline_cancellations;
+          ++ce.res.deadline_cancellations;
           const double d2 = net_delay(ce, entry_cluster, cluster);
           const double e2e = (ce.sim->now() - snap.arrival_time) + d2;
-          sharded_->send(ce.island, island_of(cluster), ce.sim->now() + d2,
-                         [this, cluster, cls = snap.cls, e2e]() {
-                           finish_request_tail(ctx_of(cluster), cls, cluster,
-                                               false, e2e, /*admitted=*/true);
-                         });
+          engine_->send(ce.island, island_of(cluster), ce.sim->now() + d2,
+                        [this, cluster, cls = snap.cls, e2e]() {
+                          finish_request_tail(ctx_of(cluster), cls, cluster,
+                                              false, e2e, /*admitted=*/true);
+                        });
           return;
         }
         ReqPtr r = ce.request_pool.make();
@@ -700,11 +648,11 @@ void Simulation::on_arrival(ClassId cls, ClusterId cluster) {
               const double d2 = net_delay(ce2, entry_cluster, cluster);
               const double e2e = (ce2.sim->now() - arrival) + d2;
               if (ok) proxy(entry, entry_cluster).on_root_response(cls, e2e);
-              sharded_->send(ce2.island, island_of(cluster),
-                             ce2.sim->now() + d2, [this, cluster, cls, ok, e2e]() {
-                               finish_request_tail(ctx_of(cluster), cls, cluster,
-                                                   ok, e2e, /*admitted=*/true);
-                             });
+              engine_->send(ce2.island, island_of(cluster),
+                            ce2.sim->now() + d2, [this, cluster, cls, ok, e2e]() {
+                              finish_request_tail(ctx_of(cluster), cls, cluster,
+                                                  ok, e2e, /*admitted=*/true);
+                            });
             });
       });
 }
@@ -716,7 +664,7 @@ void Simulation::execute_node(ReqPtr req, std::size_t node, ClusterId cluster,
   if (cluster_down(cluster)) {
     // Every station in a down cluster refuses new work; in-flight jobs run
     // to completion (no preemption).
-    ++cx.res->call_rejections;
+    ++cx.res.call_rejections;
     done(false);
     return;
   }
@@ -724,7 +672,7 @@ void Simulation::execute_node(ReqPtr req, std::size_t node, ClusterId cluster,
       deadline <= cx.sim->now()) {
     // The budget is gone before the node even starts: cancel instead of
     // queueing doomed work.
-    ++cx.res->deadline_cancellations;
+    ++cx.res.deadline_cancellations;
     done(false);
     return;
   }
@@ -770,11 +718,11 @@ void Simulation::execute_node(ReqPtr req, std::size_t node, ClusterId cluster,
     if (outcome != JobOutcome::kServed) {
       ExecCtx& c2 = ctx_of(ns->cluster);
       switch (outcome) {
-        case JobOutcome::kShedQueueFull: ++c2.res->shed_queue_full; break;
-        case JobOutcome::kShedQueueDelay: ++c2.res->shed_queue_delay; break;
-        case JobOutcome::kEvicted: ++c2.res->shed_evictions; break;
+        case JobOutcome::kShedQueueFull: ++c2.res.shed_queue_full; break;
+        case JobOutcome::kShedQueueDelay: ++c2.res.shed_queue_delay; break;
+        case JobOutcome::kEvicted: ++c2.res.shed_evictions; break;
         case JobOutcome::kCancelled:
-        case JobOutcome::kExpired: ++c2.res->deadline_cancellations; break;
+        case JobOutcome::kExpired: ++c2.res.deadline_cancellations; break;
         case JobOutcome::kServed: break;
       }
       finish_node(ns, false);
@@ -958,7 +906,7 @@ void Simulation::start_attempt(const PoolPtr<AttemptState>& as) {
       as->deadline <= now) {
     // The call's remaining budget is gone (e.g. burned by earlier attempts'
     // backoff): fail fast without issuing another attempt.
-    ++cx.res->deadline_cancellations;
+    ++cx.res.deadline_cancellations;
     as->settled = true;
     release_slot(cx, *as);
     Done done = std::move(as->done);
@@ -974,7 +922,7 @@ void Simulation::start_attempt(const PoolPtr<AttemptState>& as) {
   // one viable target, so filtering is skipped entirely (the panic-routing
   // rule: with no alternative, ejections and exclusions must not strand
   // the request).
-  CircuitBreakerBank* bank = cx.breakers;
+  CircuitBreakerBank* bank = cx.breakers.get();
   const bool can_reroute = config_.policy != PolicyKind::kLocalOnly;
   const bool exclude_failed = can_reroute && as->exclude.valid() &&
                               config_.failure.retry_excludes_failed;
@@ -1039,7 +987,7 @@ void Simulation::start_attempt(const PoolPtr<AttemptState>& as) {
   as->to = to;
 
   if (measuring_) {
-    cx.res->flows[as->req->cls.index()][as->node](from.index(), to.index())++;
+    cx.res.flows[as->req->cls.index()][as->node](from.index(), to.index())++;
   }
   observe_load(cx, child_svc, to);
   cx.egress.record(from, to, cnode.request_bytes);
@@ -1064,8 +1012,8 @@ void Simulation::start_attempt(const PoolPtr<AttemptState>& as) {
       if (as->attempt != gen || as->settled) return;
       ExecCtx& c = ctx_of(as->from);
       as->settled = true;
-      ++c.res->call_timeouts;
-      ++c.res->call_timeouts_by_class[as->req->cls.index()];
+      ++c.res.call_timeouts;
+      ++c.res.call_timeouts_by_class[as->req->cls.index()];
       settle_attempt(as, false);
     });
   }
@@ -1131,7 +1079,7 @@ void Simulation::start_attempt(const PoolPtr<AttemptState>& as) {
   if (as->slot == kNilSlot) acquire_slot(cx, as);
   const RemoteToken tok{as->slot, cx.slots[as->slot].gen, gen};
   const RequestState snap = *as->req;
-  sharded_->send(
+  engine_->send(
       cx.island, island_of(to), now + out,
       [this, snap, node = as->node, parent_span = as->parent_span,
        child_deadline, from, to, tok]() {
@@ -1151,10 +1099,10 @@ void Simulation::start_attempt(const PoolPtr<AttemptState>& as) {
                 ce2.egress.record(to, from, g.node(node).response_bytes);
               }
               const double back = net_delay(ce2, to, from);
-              sharded_->send(ce2.island, island_of(from),
-                             ce2.sim->now() + back, [this, from, tok, ok]() {
-                               on_remote_response(ctx_of(from), tok, ok);
-                             });
+              engine_->send(ce2.island, island_of(from),
+                            ce2.sim->now() + back, [this, from, tok, ok]() {
+                              on_remote_response(ctx_of(from), tok, ok);
+                            });
             });
       });
 }
@@ -1181,8 +1129,8 @@ void Simulation::settle_attempt(const PoolPtr<AttemptState>& as, bool ok) {
   if (policy.enabled && budget_left && as->attempt < policy.max_retries) {
     if (cx.retry_tokens >= 1.0) {
       cx.retry_tokens -= 1.0;
-      ++cx.res->call_retries;
-      ++cx.res->call_retries_by_class[as->req->cls.index()];
+      ++cx.res.call_retries;
+      ++cx.res.call_retries_by_class[as->req->cls.index()];
       const double backoff =
           policy.backoff_base *
           std::pow(policy.backoff_multiplier, static_cast<double>(as->attempt));
@@ -1197,8 +1145,8 @@ void Simulation::settle_attempt(const PoolPtr<AttemptState>& as, bool ok) {
       cx.sim->schedule_after(backoff, [this, as]() { start_attempt(as); });
       return;
     }
-    ++cx.res->retry_budget_denials;
-    ++cx.res->retry_budget_denials_by_class[as->req->cls.index()];
+    ++cx.res.retry_budget_denials;
+    ++cx.res.retry_budget_denials_by_class[as->req->cls.index()];
   }
   release_slot(cx, *as);
   Done done = std::move(as->done);
@@ -1249,7 +1197,7 @@ void Simulation::corrupt_report(ClusterReport& report, double factor) {
 }
 
 void Simulation::control_tick() {
-  const double now = global_sim().now();
+  const double now = engine_->global().now();
   std::vector<ClusterReport> reports;
   reports.reserve(cluster_controllers_.size());
   for (auto& cc : cluster_controllers_) {
@@ -1360,7 +1308,7 @@ void Simulation::begin_measurement() {
 
 void Simulation::refresh_waterfall_snapshot() {
   // At a window barrier every island's clock sits at the window end.
-  const double now = sharded_->lp(0).now();
+  const double now = engine_->lp(0).now();
   const std::size_t S = waterfall_snapshot_.rows();
   for (std::size_t s = 0; s < S; ++s) {
     for (std::size_t c = 0; c < cluster_count_; ++c) {
@@ -1375,50 +1323,59 @@ void Simulation::refresh_waterfall_snapshot() {
 
 namespace {
 
+// Folds one island's accumulator into the merged one. An empty container
+// adopts the island's buffer instead of copying it, so the first island's
+// shape becomes the merged shape.
 template <class T>
-void add_into(T& into, const T& from) {
+void add_into(T& into, T& from) {
   into += from;
 }
 
+void add_into(SampleSet& into, SampleSet& from) {
+  if (into.empty()) {
+    into = std::move(from);
+    return;
+  }
+  into.reserve(into.count() + from.count());
+  for (double v : from.samples()) into.add(v);  // in order
+}
+
 template <class T>
-void add_into(std::vector<T>& into, const std::vector<T>& from) {
-  for (std::size_t i = 0; i < into.size(); ++i) into[i] += from[i];
+void add_into(FlatMatrix<T>& into, FlatMatrix<T>& from) {
+  for (std::size_t i = 0; i < into.rows(); ++i) {
+    for (std::size_t j = 0; j < into.cols(); ++j) into(i, j) += from(i, j);
+  }
+}
+
+template <class T>
+void add_into(std::vector<T>& into, std::vector<T>& from) {
+  if (into.empty()) {
+    into = std::move(from);
+    return;
+  }
+  for (std::size_t i = 0; i < into.size(); ++i) add_into(into[i], from[i]);
 }
 
 }  // namespace
 
-// Folds each island's partial result into result_. Islands write only
-// data-plane rows (all kSum); the kMax and kLast rows are set from global
-// state after this merge, so they are skipped here.
+// Folds each island's partial result into result_ and its trace ring into
+// traces_. Islands write only data-plane rows (all kSum); the kMax and
+// kLast rows are set from global state after this merge, so they are
+// skipped here.
 void Simulation::merge_results() {
-  const std::size_t K = scenario_.app->class_count();
+  traces_ = std::move(ctxs_.front()->traces);
   for (const auto& cp : ctxs_) {
-    const ExperimentResult& r = *cp->res_owned;
+    ExperimentResult& r = cp->res;
     for (const CounterRow& row : kResultCounters) {
       if (row.merge != MergeRule::kSum) continue;
       std::visit([&](auto member) { add_into(result_.*member, r.*member); },
                  row.member);
     }
-    result_.e2e.reserve(result_.e2e.count() + r.e2e.count());
-    for (double v : r.e2e.samples()) result_.e2e.add(v);
-    for (std::size_t k = 0; k < K; ++k) {
-      for (double v : r.e2e_by_class[k].samples()) {
-        result_.e2e_by_class[k].add(v);
-      }
-    }
-    for (std::size_t k = 0; k < K; ++k) {
-      for (std::size_t n = 0; n < result_.flows[k].size(); ++n) {
-        FlatMatrix<std::uint64_t>& dst = result_.flows[k][n];
-        const FlatMatrix<std::uint64_t>& src = r.flows[k][n];
-        for (std::size_t i = 0; i < dst.rows(); ++i) {
-          for (std::size_t j = 0; j < dst.cols(); ++j) {
-            dst(i, j) += src(i, j);
-          }
-        }
-      }
-    }
-    if (traces_.enabled()) {
-      cp->traces_owned.for_each([this](const Span& s) { traces_.record(s); });
+    add_into(result_.e2e, r.e2e);
+    add_into(result_.e2e_by_class, r.e2e_by_class);
+    add_into(result_.flows, r.flows);
+    if (cp != ctxs_.front()) {
+      cp->traces.for_each([this](const Span& s) { traces_.record(s); });
     }
   }
 }
@@ -1453,15 +1410,15 @@ ExperimentResult Simulation::run() {
   }
 
   // Scheduled capacity changes (failures, manual provisioning). Global
-  // timeline: under the sharded engine these apply at window barriers,
-  // like every other operator-plane action.
+  // timeline: these apply at window barriers, like every other
+  // operator-plane action.
   for (const CapacityEvent& event : config_.capacity_events) {
     ServiceStation* st = station(event.service, event.cluster);
     if (st == nullptr) {
       throw std::invalid_argument(
           "Simulation: capacity event targets an undeployed station");
     }
-    global_sim().schedule_at(
+    engine_->global().schedule_at(
         event.time, [st, servers = event.servers]() { st->set_servers(servers); });
   }
 
@@ -1471,7 +1428,7 @@ ExperimentResult Simulation::run() {
   // Warmup boundary.
   std::vector<double> busy_at_warmup(S * cluster_count_, 0.0);
   std::vector<double> provisioned_at_warmup(S * cluster_count_, 0.0);
-  global_sim().schedule_at(
+  engine_->global().schedule_at(
       config_.warmup, [this, &busy_at_warmup, &provisioned_at_warmup]() {
         begin_measurement();
         for (std::size_t i = 0; i < stations_.size(); ++i) {
@@ -1500,27 +1457,27 @@ ExperimentResult Simulation::run() {
     };
     drain_orch_ = std::make_unique<DrainOrchestrator>(
         scenario_.drains, config_.control_period, std::move(hooks));
-    drain_timer_ = global_sim().schedule_scoped_periodic(
+    drain_timer_ = engine_->global().schedule_scoped_periodic(
         config_.control_period,
-        [this]() { drain_orch_->tick(global_sim().now()); });
+        [this]() { drain_orch_->tick(engine_->global().now()); });
   }
 
   // Control loop (RAII handle: cancelled when the Simulation dies).
   if (config_.policy == PolicyKind::kSlate) {
-    control_timer_ = global_sim().schedule_scoped_periodic(
+    control_timer_ = engine_->global().schedule_scoped_periodic(
         config_.control_period, [this]() { control_tick(); });
   }
 
   // Admission adaptation loop: once per control period on the global
-  // timeline (at window barriers under the sharded engine, where every
-  // island is quiesced). Scheduled only when armed with adapt on, so an
-  // unarmed run executes zero extra events.
+  // timeline (at window barriers, where every island is quiesced).
+  // Scheduled only when armed with adapt on, so an unarmed run executes
+  // zero extra events.
   if (admission_ != nullptr && scenario_.admission.adapt) {
-    admission_timer_ = global_sim().schedule_scoped_periodic(
+    admission_timer_ = engine_->global().schedule_scoped_periodic(
         config_.control_period, [this]() {
           const DemandForecaster* f =
               global_ != nullptr ? global_->forecaster() : nullptr;
-          admission_->adapt(global_sim().now(),
+          admission_->adapt(engine_->global().now(),
                             f != nullptr ? &f->predicted() : nullptr,
                             f != nullptr ? &f->confidence() : nullptr);
         });
@@ -1528,35 +1485,26 @@ ExperimentResult Simulation::run() {
 
   // Workload. Each driver forks every stream's RNG from an identical copy
   // of the fork(0) parent, so a stream's arrival sequence is the same no
-  // matter which driver owns it — the partitioned sharded workload matches
-  // the legacy single-driver workload stream for stream.
+  // matter which island's driver owns it.
   Rng workload_rng = rng_root_.fork(0);
-  if (sharded_ == nullptr) {
-    workloads_.push_back(std::make_unique<WorkloadDriver>(
-        sim_, workload_rng, scenario_.demand, config_.duration,
-        [this](ClassId cls, ClusterId cluster) { on_arrival(cls, cluster); }));
-    sim_.run_until(config_.duration);
-  } else {
-    if (config_.policy == PolicyKind::kWaterfall) {
-      sharded_->set_barrier_hook([this]() { refresh_waterfall_snapshot(); });
-    }
-    const auto& streams = scenario_.demand.streams();
-    for (std::size_t i = 0; i < island_count_; ++i) {
-      const auto island = static_cast<std::uint32_t>(i);
-      workloads_.push_back(std::make_unique<WorkloadDriver>(
-          sharded_->lp(i), workload_rng, scenario_.demand, config_.duration,
-          [this](ClassId cls, ClusterId cluster) { on_arrival(cls, cluster); },
-          [this, &streams, island](std::size_t s) {
-            return island_of_[streams[s].cluster.index()] == island;
-          }));
-    }
-    sharded_->run_until(config_.duration);
-    merge_results();
+  if (load_view_ != nullptr && island_count_ > 1) {
+    engine_->set_barrier_hook([this]() { refresh_waterfall_snapshot(); });
   }
+  for (std::size_t i = 0; i < island_count_; ++i) {
+    const auto island = static_cast<std::uint32_t>(i);
+    workloads_.push_back(std::make_unique<WorkloadDriver>(
+        engine_->lp(i), workload_rng, scenario_.demand, config_.duration,
+        [this](ClassId cls, ClusterId cluster) { on_arrival(cls, cluster); },
+        [this, island](std::size_t s) {
+          const ClusterId c = scenario_.demand.streams()[s].cluster;
+          return island_of_[c.index()] == island;
+        }));
+  }
+  engine_->run_until(config_.duration);
+  merge_results();
 
   // Finalize.
-  result_.sim_events = sharded_ != nullptr ? sharded_->events_executed()
-                                           : sim_.events_executed();
+  result_.sim_events = engine_->events_executed();
   result_.measured_seconds = config_.duration - config_.warmup;
   for (const auto& cx : ctxs_) {
     result_.egress_bytes += cx->egress.total_egress_bytes();
@@ -1654,13 +1602,9 @@ ExperimentResult Simulation::run() {
     result_.admission_floor_raises = admission_->floor_raises();
     result_.admission_forecast_widenings = admission_->forecast_widenings();
   }
-  if (breakers_ != nullptr) {
-    result_.breaker_ejections = breakers_->ejections();
-  } else {
-    for (const auto& cx : ctxs_) {
-      if (cx->breakers_owned != nullptr) {
-        result_.breaker_ejections += cx->breakers_owned->ejections();
-      }
+  for (const auto& cx : ctxs_) {
+    if (cx->breakers != nullptr) {
+      result_.breaker_ejections += cx->breakers->ejections();
     }
   }
   // Station-level job conservation and doomed-work accounting.

@@ -22,27 +22,27 @@
 // candidate cluster. Faults come from the FaultPlan via a FaultInjector the
 // engine consults at each decision point.
 //
-// Execution engines (RunConfig::shards; docs/performance.md):
-//   shards == 0  — the legacy serial engine: one Simulator, one execution
-//                  context, bit-identical to previous releases.
-//   shards >= 1  — conservative-lookahead parallel engine: clusters are
-//                  grouped into latency islands (connected components over
-//                  zero-latency pairs), each island becomes one logical
-//                  process with a private Simulator and a private execution
-//                  context (pools, RNG stream, telemetry accumulators);
-//                  cross-island calls travel as by-value RPC messages
-//                  through the ShardedSimulator's deterministic mailboxes.
-//                  The shard count only caps worker threads — the partition
-//                  and the schedule are island-determined, so every sharded
-//                  run of a config is byte-identical regardless of count.
-//                  A single-island run matches the legacy engine under
-//                  SLATE but not under Waterfall, whose load snapshot only
-//                  refreshes at global-event barriers when the lookahead is
-//                  infinite.
+// Execution engine (RunConfig::shards; docs/performance.md): one
+// conservative-lookahead ShardedSimulator. Clusters are grouped into
+// islands; each island is one logical process with a private Simulator and
+// a private execution context (pools, RNG stream, telemetry accumulators),
+// and cross-island calls travel as by-value RPC messages through the
+// engine's deterministic mailboxes. Control-plane machinery runs on the
+// engine's global timeline, at window barriers.
+//   shards == 0  — the whole world is one island: the reference partition
+//                  every committed figure uses.
+//   shards >= 1  — one island per latency island (connected components
+//                  over zero-latency pairs), with up to `shards` worker
+//                  threads. The count only caps threads — the partition
+//                  and the schedule are island-determined, so every run of
+//                  a config at shards >= 1 is byte-identical regardless of
+//                  count, and a world that forms a single latency island
+//                  matches shards == 0 exactly.
 #pragma once
 
 #include <array>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "admission/admission_controller.h"
@@ -82,16 +82,6 @@ class Simulation {
     return global_.get();
   }
   [[nodiscard]] const TraceCollector& traces() const noexcept { return traces_; }
-  // Null unless the scenario's fault plan is non-empty.
-  [[nodiscard]] const FaultInjector* fault_injector() const noexcept {
-    return injector_.get();
-  }
-  // Null unless circuit breaking is enabled. Under the sharded engine this
-  // is the first island's caller-side bank (banks are per island).
-  [[nodiscard]] const CircuitBreakerBank* circuit_breakers() const noexcept {
-    if (breakers_ != nullptr) return breakers_.get();
-    return ctxs_.empty() ? nullptr : ctxs_.front()->breakers;
-  }
   // Null for baseline policies; indexed by cluster id under SLATE.
   [[nodiscard]] const ClusterController* cluster_controller(
       ClusterId c) const noexcept {
@@ -99,25 +89,12 @@ class Simulation {
                ? cluster_controllers_[c.index()].get()
                : nullptr;
   }
-  // Latency islands the sharded engine partitions into (1 on the legacy
-  // engine) and the conservative lookahead window width in seconds
-  // (+infinity with a single island).
+  // Islands the engine partitions into and the conservative lookahead
+  // window width in seconds (+infinity with a single island).
   [[nodiscard]] std::size_t island_count() const noexcept {
     return island_count_;
   }
   [[nodiscard]] double lookahead_seconds() const noexcept { return lookahead_; }
-  // Null unless front-door admission control is armed.
-  [[nodiscard]] const AdmissionController* admission_controller() const noexcept {
-    return admission_.get();
-  }
-  // Null unless at least one coordinated drain is scheduled.
-  [[nodiscard]] const DrainOrchestrator* drain_orchestrator() const noexcept {
-    return drain_orch_.get();
-  }
-  // Null unless bi-level co-design is armed (kSlate + autoscaler required).
-  [[nodiscard]] const BilevelCoordinator* bilevel_coordinator() const noexcept {
-    return bilevel_.get();
-  }
 
  private:
   // Continuation of one call-tree node; `ok` is false when the subtree
@@ -234,15 +211,14 @@ class Simulation {
     std::uint32_t attempt_gen = 0;
   };
 
-  // Everything the data plane mutates per request, owned per latency island
-  // so shards never contend: object pools, the routing RNG stream, result
-  // accumulators, egress/trace/breaker telemetry, the retry-token budget,
-  // and id counters (island-tagged so merged traces stay unique). The
-  // legacy serial engine runs with exactly one context wired to the
-  // Simulation-level members, preserving bit-identical behavior.
+  // Everything the data plane mutates per request, owned per island so
+  // islands never contend: object pools, the routing RNG stream, result
+  // accumulators, egress/trace/breaker telemetry, Waterfall load meters,
+  // the retry-token budget, and id counters (island-tagged so merged
+  // traces stay unique).
   struct ExecCtx {
     ExecCtx(const Topology& topo, std::size_t trace_capacity)
-        : egress(topo), traces_owned(trace_capacity) {}
+        : egress(topo), traces(trace_capacity) {}
 
     std::uint32_t island = 0;
     Simulator* sim = nullptr;
@@ -257,16 +233,11 @@ class Simulation {
     Pool<AttemptState> attempt_pool;
 
     EgressMeter egress;
-    TraceCollector traces_owned;       // sharded sink; merged at run end
-    TraceCollector* traces = nullptr;  // what this island's proxies record to
-    std::unique_ptr<CircuitBreakerBank> breakers_owned;  // sharded only
-    CircuitBreakerBank* breakers = nullptr;
-    std::unique_ptr<RoutingPolicy> baseline_owned;  // sharded only
-    RoutingPolicy* baseline = nullptr;
-    std::unique_ptr<ExperimentResult> res_owned;  // sharded only
-    ExperimentResult* res = nullptr;
-    // Per-island Waterfall load observations, summed into the shared
-    // snapshot at each window barrier (empty unless sharded + Waterfall).
+    TraceCollector traces;  // what this island's proxies record to
+    std::unique_ptr<CircuitBreakerBank> breakers;  // null unless breaking
+    std::unique_ptr<RoutingPolicy> baseline;       // null under SLATE
+    ExperimentResult res;  // data-plane rows, merged into result_ at run end
+    // Waterfall arrival-rate observations (empty under other policies).
     std::vector<RateMeter> load_meters;
 
     double retry_tokens = 0.0;  // token-bucket retry budget
@@ -289,12 +260,6 @@ class Simulation {
   }
   SlateProxy& proxy(ServiceId s, ClusterId c) {
     return *proxies_[station_index(s, c)];
-  }
-  [[nodiscard]] bool sharded() const noexcept { return sharded_ != nullptr; }
-  // The simulator control-plane machinery lives on: the single engine in
-  // legacy mode, the coordinator's global LP in sharded mode.
-  [[nodiscard]] Simulator& global_sim() noexcept {
-    return sharded_ != nullptr ? sharded_->global() : sim_;
   }
   [[nodiscard]] std::uint32_t island_of(ClusterId c) const noexcept {
     return island_of_[c.index()];
@@ -334,9 +299,9 @@ class Simulation {
   // Advances a sequential child chain after the previous child settled.
   void chain_next(const PoolPtr<ChainState>& cs, bool ok);
 
-  // Cross-island RPC plumbing (sharded engine only). A remote request leg
-  // carries the request state by value plus a RemoteToken; the response
-  // finds its attempt through the caller context's slot registry.
+  // Cross-island RPC plumbing. A remote request leg carries the request
+  // state by value plus a RemoteToken; the response finds its attempt
+  // through the caller context's slot registry.
   std::uint32_t acquire_slot(ExecCtx& cx, const PoolPtr<AttemptState>& as);
   void release_slot(ExecCtx& cx, AttemptState& as);
   void on_remote_response(ExecCtx& cx, RemoteToken tok, bool ok);
@@ -357,8 +322,7 @@ class Simulation {
   // loop's outcome evidence.
   void finish_request_tail(ExecCtx& cx, ClassId cls, ClusterId ingress,
                            bool ok, double e2e, bool admitted);
-  // Arrival-rate observation for Waterfall: the live view in legacy mode,
-  // the context's snapshot meters in sharded mode.
+  // Arrival-rate observation for Waterfall, into the context's meters.
   void observe_load(ExecCtx& cx, ServiceId s, ClusterId c);
 
   void control_tick();
@@ -375,17 +339,19 @@ class Simulation {
 
   // Groups clusters into latency islands (union over zero-latency pairs)
   // and derives the conservative lookahead from the cross-island latency
-  // floor. Sharded mode only.
+  // floor (shards >= 1).
   void compute_islands();
   // Constructs the configured baseline routing policy (non-SLATE kinds).
   [[nodiscard]] std::unique_ptr<RoutingPolicy> make_baseline(
       const LoadView* view) const;
-  // Sizes the per-class containers of a result accumulator.
+  // Sizes the per-class and per-bucket containers of an island accumulator.
   void init_result_shape(ExperimentResult& r) const;
-  // Folds per-island accumulators into result_, in island order (the order
-  // is island-determined, so merged output is invariant to worker count).
+  // Folds per-island accumulators into result_ and traces_, in island
+  // order (the order is island-determined, so merged output is invariant
+  // to worker count).
   void merge_results();
-  // Barrier hook: per-island Waterfall meters -> shared load snapshot.
+  // Barrier hook with several islands: per-island Waterfall meters ->
+  // shared load snapshot.
   void refresh_waterfall_snapshot();
 
   const Scenario& scenario_;
@@ -397,8 +363,6 @@ class Simulation {
   // Precomputed per-class knobs (kNoDeadline / 0 when the sub-policy is off).
   std::vector<double> deadline_by_class_;
   std::vector<int> priority_by_class_;
-  // Legacy-engine bank (null when sharded: each context owns its own).
-  std::unique_ptr<CircuitBreakerBank> breakers_;
 
   // Front-door admission controller, null unless the scenario arms it. The
   // controller is shared across islands but every (class, cluster) cell
@@ -416,18 +380,17 @@ class Simulation {
   // candidate-filter exclusion in start_attempt.
   bool have_fully_drained_ = false;
 
-  // Latency-island partition (all zeros / 1 island on the legacy engine).
+  // Island partition (all zeros / 1 island at shards == 0).
   std::vector<std::uint32_t> island_of_;  // per cluster
   std::size_t island_count_ = 1;
   double lookahead_ = 0.0;
 
-  // Execution contexts, one per island (exactly one on the legacy engine).
-  // Declared before both engines and the stations: events and queued jobs
-  // hold PoolPtrs into these contexts' pools, so the contexts die last.
+  // Execution contexts, one per island. Declared before the engine and the
+  // stations: events and queued jobs hold PoolPtrs into these contexts'
+  // pools, so the contexts die last.
   std::vector<std::unique_ptr<ExecCtx>> ctxs_;
 
-  Simulator sim_;  // legacy serial engine (idle when sharded_ is set)
-  std::unique_ptr<ShardedSimulator> sharded_;
+  std::optional<ShardedSimulator> engine_;  // emplaced once islands are known
 
   Rng rng_root_;
   Rng rng_chaos_;  // telemetry-corruption draws (fork 3 of the root)
@@ -448,20 +411,16 @@ class Simulation {
   // the scenario enables it under kSlate with the autoscalers on.
   bool bilevel_armed_ = false;
   std::unique_ptr<BilevelCoordinator> bilevel_;
-  std::unique_ptr<RoutingPolicy> baseline_policy_;  // legacy engine
 
-  // Live load signal for Waterfall (legacy engine).
-  class LiveLoadView;
-  std::unique_ptr<LiveLoadView> load_view_;
-  // Sharded Waterfall: per-island meters sum into this snapshot at every
-  // window barrier; routing reads it (at most one window stale).
-  class SnapshotLoadView;
+  // Waterfall's load signal (null under other policies): live meters with
+  // one island; with several, a snapshot the per-island meters sum into at
+  // every window barrier (at most one window stale).
+  class WaterfallLoadView;
+  std::unique_ptr<WaterfallLoadView> load_view_;
   FlatMatrix<double> waterfall_snapshot_;
-  std::unique_ptr<SnapshotLoadView> snapshot_view_;
 
-  TraceCollector traces_;
-  // One driver on the legacy engine; one per island (stream-partitioned)
-  // on the sharded engine.
+  TraceCollector traces_;  // merged from the islands at run end
+  // One driver per island, each owning its island's demand streams.
   std::vector<std::unique_ptr<WorkloadDriver>> workloads_;
   std::unique_ptr<FaultInjector> injector_;
   // RAII: destroying the Simulation cancels the control loop, so an

@@ -1,4 +1,4 @@
-// ShardedSimulator determinism and Simulation sharded-vs-serial identity.
+// ShardedSimulator determinism and Simulation partition identity.
 //
 // The contract under test (docs/performance.md): the island partition and
 // the event schedule are topology-determined, so a sharded run is
@@ -165,10 +165,10 @@ TEST(ShardedSimulator, DeterministicAcrossWorkerCounts) {
 // --- Simulation: sharded identity gauntlet ---------------------------------
 
 // The gauntlet: every scenario runs the same config at shards 1/2/4/8 and
-// must produce byte-identical results; the serial (shards=0) engine must
-// generate the identical workload (the per-stream arrival sequences are
-// engine-invariant even though routing draws are not shared). Returns the
-// sharded result, for the caller's vacuity checks.
+// must produce byte-identical results; the one-island partition (shards=0)
+// must generate the identical workload (the per-stream arrival sequences
+// are partition-invariant even though routing draws are not shared).
+// Returns the latency-island result, for the caller's vacuity checks.
 ExperimentResult run_gauntlet(const Scenario& scenario, const RunConfig& base) {
   const ExperimentResult legacy = run_experiment(scenario, base);
   RunConfig config = base;
@@ -327,23 +327,32 @@ TEST(ShardedSimulation, IdentityBilevelArmed) {
 }
 
 TEST(ShardedSimulation, SingleIslandShardedMatchesLegacyExactly) {
-  // One island (a single-cluster scenario collapses the partition): the
-  // sharded engine degenerates to one LP with an infinite window, and under
-  // SLATE the schedule — including every routing draw — matches the legacy
-  // engine bit for bit. Waterfall does not match: its load snapshot only
-  // refreshes at global-event barriers (docs/performance.md).
+  // One latency island (zero latency joins both clusters): shards >= 1
+  // partitions the world exactly as shards == 0 does, one LP with an
+  // infinite window, so every policy — Waterfall's live load view included
+  // — matches shards == 0 bit for bit, at any worker cap.
   TwoClusterChainParams params;
   params.rtt = 0.0;  // zero latency: both clusters share one island
   const Scenario scenario = make_two_cluster_chain_scenario(params);
-  RunConfig config = gauntlet_config(PolicyKind::kSlate);
-  const ExperimentResult legacy = run_experiment(scenario, config);
-  config.shards = 4;
-  const ExperimentResult sharded = run_experiment(scenario, config);
-
-  Simulation probe(scenario, config);
-  EXPECT_EQ(probe.island_count(), 1u);
-  EXPECT_EQ(probe.lookahead_seconds(), std::numeric_limits<double>::infinity());
-  expect_same_result(legacy, sharded);
+  for (PolicyKind policy :
+       {PolicyKind::kLocalOnly, PolicyKind::kRoundRobin,
+        PolicyKind::kLocalityFailover, PolicyKind::kStaticWeights,
+        PolicyKind::kWaterfall, PolicyKind::kSlate}) {
+    SCOPED_TRACE(to_string(policy));
+    RunConfig config = gauntlet_config(policy);
+    const ExperimentResult reference = run_experiment(scenario, config);
+    EXPECT_GT(reference.completed, 0u);
+    for (std::size_t shards : {1u, 4u}) {
+      SCOPED_TRACE(shards);
+      config.shards = shards;
+      const ExperimentResult sharded = run_experiment(scenario, config);
+      expect_same_result(reference, sharded);
+    }
+    Simulation probe(scenario, config);
+    EXPECT_EQ(probe.island_count(), 1u);
+    EXPECT_EQ(probe.lookahead_seconds(),
+              std::numeric_limits<double>::infinity());
+  }
 }
 
 }  // namespace
