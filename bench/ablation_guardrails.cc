@@ -5,7 +5,9 @@
 // optimizer plans against systematically bad predictions. Compared
 // configurations:
 //   * unguarded  — rules applied at full step every period;
-//   * guarded    — incremental steps + live-objective revert (§5's sketch);
+//   * guarded    — guarded rollout (§5's sketch): damped steps toward the
+//                  target, a canary that rolls back a push when live
+//                  goodput/p99 regress, and a flap freeze;
 //   * refit      — misprediction present initially but online fitting on
 //                  (the deployed configuration).
 #include <cstdio>
@@ -27,12 +29,15 @@ struct Variant {
 }  // namespace
 
 int main() {
-  bench::print_header("Ablation", "guardrails under model misprediction (§5)");
+  bench::print_header("Ablation",
+                      "guarded rollout under model misprediction (§5)");
 
   TwoClusterChainParams params;
   params.west_rps = 700.0;
   params.east_rps = 100.0;
   const Scenario scenario = make_two_cluster_chain_scenario(params);
+  Scenario guarded_scenario(scenario);
+  guarded_scenario.guard.rollout.enabled = true;
 
   std::vector<Variant> variants;
   for (double scale : {1.0, 4.0, 0.25}) {
@@ -49,23 +54,21 @@ int main() {
     config.seed = 41;
     config.slate.initial_model_scale = v.scale;
     config.slate.freeze_model = !v.refit;
-    config.slate.guardrails.enabled = v.guarded;
-    config.slate.guardrails.step_fraction = 0.3;
-    jobs.push_back({&scenario, config, v.name});
+    jobs.push_back({v.guarded ? &guarded_scenario : &scenario, config, v.name});
   }
   const std::vector<ExperimentResult> results = bench::run_grid(jobs);
 
   std::printf("%-12s %-22s %14s %12s %10s\n", "model_scale", "configuration",
-              "mean (ms)", "p99 (ms)", "reverts");
+              "mean (ms)", "p99 (ms)", "rollbacks");
   for (std::size_t i = 0; i < variants.size(); ++i) {
     const Variant& v = variants[i];
     const ExperimentResult& r = results[i];
     std::printf("%-12.2f %-22s %14.2f %12.2f %10llu\n", v.scale, v.name,
                 r.mean_latency() * 1e3, r.p99() * 1e3,
-                static_cast<unsigned long long>(r.controller_reverts));
+                static_cast<unsigned long long>(r.rollout_rollbacks));
     std::printf("data,guardrails,%.2f,%s,%.3f,%.3f,%llu\n", v.scale, v.name,
                 r.mean_latency() * 1e3, r.p99() * 1e3,
-                static_cast<unsigned long long>(r.controller_reverts));
+                static_cast<unsigned long long>(r.rollout_rollbacks));
   }
   std::printf(
       "\nreading: with an exact model (scale 1) all configurations agree.\n"
@@ -73,8 +76,9 @@ int main() {
       "are) causes mild over-offloading. Optimistic misprediction (scale\n"
       "0.25: the model believes capacity is ample) is the dangerous case -\n"
       "the optimizer never proposes offloading, the local cluster melts\n"
-      "down, and guardrails cannot help because there is no bad *change* to\n"
-      "revert; only online re-fitting (the deployed configuration) recovers.\n"
+      "down, and guarded rollout cannot help because there is no bad *change*\n"
+      "to roll back; only online re-fitting (the deployed configuration)\n"
+      "recovers.\n"
       "This sharpens the paper's §5 point: incremental-apply-and-verify\n"
       "bounds damage from wrong shifts, but model re-learning is what\n"
       "handles wrong models.\n");

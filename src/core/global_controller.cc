@@ -5,7 +5,6 @@
 #include <cmath>
 #include <utility>
 
-#include "core/routing_rules.h"
 #include "util/logging.h"
 #include "workload/demand.h"
 
@@ -307,20 +306,6 @@ void GlobalController::ingest(const std::vector<ClusterReport>& reports) {
   }
 }
 
-double GlobalController::observed_e2e(
-    const std::vector<ClusterReport>& reports) const {
-  std::uint64_t count = 0;
-  double weighted = 0.0;
-  for (const auto& report : reports) {
-    for (const auto& e : report.e2e) {
-      count += e.count;
-      weighted += static_cast<double>(e.count) * e.mean_latency;
-    }
-  }
-  if (count < options_.guardrails.min_e2e_samples) return -1.0;
-  return weighted / static_cast<double>(count);
-}
-
 GlobalController::LiveSignal GlobalController::live_signal(
     const std::vector<ClusterReport>& reports) const {
   LiveSignal sig;
@@ -393,45 +378,15 @@ std::shared_ptr<const RoutingRuleSet> GlobalController::on_reports(
   // of elapsed time, not `season` successful solves).
   if (forecaster_ != nullptr) forecaster_->step(demand_);
 
-  const GuardrailOptions& guard = options_.guardrails;
-  const double obs = observed_e2e(*admitted);
-  const bool rollout_active = rollout_ != nullptr;
-
-  // 2a. Guarded rollout, phase 1: canary verdicts against live telemetry,
-  // rollback, and freeze bookkeeping. Supersedes the legacy guardrail
-  // blend/revert below when armed.
+  // 2. Guarded rollout, phase 1: canary verdicts against live telemetry,
+  // rollback, and freeze bookkeeping.
   bool rollout_hold = false;
-  if (rollout_active) {
+  if (rollout_ != nullptr) {
     const LiveSignal sig = live_signal(*admitted);
     RolloutDecision decision =
         rollout_->observe(sig.goodput_rps, sig.p99, sig.samples);
-    if (decision.rolled_back) {
-      ++reverts_;
-      return emit(decision.rules);
-    }
+    if (decision.rolled_back) return emit(decision.rules);
     rollout_hold = decision.hold;
-  }
-
-  // 2b. Legacy guardrail: evaluate the previous change against live
-  // telemetry (skipped entirely when the rollout gate is armed).
-  if (!rollout_active && guard.enabled && pending_eval_) {
-    pending_eval_ = false;
-    if (obs >= 0.0 && baseline_e2e_ >= 0.0 &&
-        obs > baseline_e2e_ * (1.0 + guard.regression_tolerance)) {
-      // The last step made things worse than predicted: revert and hold.
-      ++reverts_;
-      SLATE_LOG(kInfo) << "guardrail revert: e2e " << baseline_e2e_ << " -> "
-                       << obs << " after rule change";
-      // Restore the pre-change rules; before any push that state is "no
-      // rules", expressed as an empty set (data plane falls back to
-      // locality failover).
-      current_rules_ = previous_rules_ != nullptr
-                           ? previous_rules_
-                           : std::make_shared<const RoutingRuleSet>();
-      hold_remaining_ = guard.hold_periods;
-      ++epoch_seq_;
-      return current_rules_;
-    }
   }
 
   // 3. Refit the latency model from accumulated samples.
@@ -440,11 +395,6 @@ std::shared_ptr<const RoutingRuleSet> GlobalController::on_reports(
   }
 
   if (rollout_hold) return nullptr;  // mid-canary or frozen: no actuation
-
-  if (hold_remaining_ > 0) {
-    --hold_remaining_;
-    return nullptr;  // keep rules frozen while re-learning
-  }
 
   // 4. Optimize — on the measured demand estimate, the forecast blend, or
   // the oracle's future, depending on the armed forecast mode. The demand
@@ -584,25 +534,12 @@ std::shared_ptr<const RoutingRuleSet> GlobalController::on_reports(
     plan_contingency(solve_demand, live, plan_from_primary);
   }
 
-  // 5. Emit rules: guarded rollout (damping + flap detection + canary
-  // arming), legacy incremental step, or the raw target.
-  if (rollout_active) {
-    RolloutDecision decision = rollout_->apply(last_result_.rules);
-    if (decision.rules == nullptr) return nullptr;  // flap freeze
-    return emit(decision.rules);
-  }
-
-  std::shared_ptr<const RoutingRuleSet> push;
-  if (guard.enabled) {
-    push = blend_rule_sets(current_rules_.get(), *last_result_.rules,
-                           guard.step_fraction);
-    previous_rules_ = current_rules_;
-    baseline_e2e_ = obs;
-    pending_eval_ = obs >= 0.0;
-  } else {
-    push = last_result_.rules;
-  }
-  return emit(std::move(push));
+  // 5. Emit rules: the raw target, or a damped rollout step toward it
+  // (flap detection and canary arming included).
+  if (rollout_ == nullptr) return emit(last_result_.rules);
+  RolloutDecision decision = rollout_->apply(last_result_.rules);
+  if (decision.rules == nullptr) return nullptr;  // flap freeze
+  return emit(decision.rules);
 }
 
 }  // namespace slate

@@ -4,12 +4,12 @@
 // Each control period:
 //   1. ingest every cluster's report into the sample store, and smooth the
 //      observed per-(class, cluster) ingress into the demand estimate;
-//   2. (guardrails) check whether the previous rule change regressed the
-//      live end-to-end latency objective; if so, revert and hold;
+//   2. (guarded rollout) judge the previous push against live goodput and
+//      p99; on a regression, roll back to last-known-good and freeze;
 //   3. re-fit the latency model from accumulated samples;
 //   4. run the routing optimization;
-//   5. emit rules — either the optimizer's target directly, or (guardrails)
-//      an incremental step toward it (paper §5: "implement incremental
+//   5. emit rules — either the optimizer's target directly, or (guarded
+//      rollout) a damped step toward it (paper §5: "implement incremental
 //      increases ... and proceed only if the objectives improve").
 #pragma once
 
@@ -33,20 +33,6 @@
 
 namespace slate {
 
-struct GuardrailOptions {
-  bool enabled = false;
-  // Fraction of the distance from current rules to the optimizer target
-  // applied per period (1.0 = jump straight to target).
-  double step_fraction = 0.3;
-  // Revert when observed mean e2e latency worsens by more than this
-  // fraction over the pre-change baseline.
-  double regression_tolerance = 0.25;
-  // Periods to keep rules frozen after a revert (time to re-learn).
-  std::size_t hold_periods = 2;
-  // Skip regression evaluation when fewer e2e samples than this were seen.
-  std::uint64_t min_e2e_samples = 50;
-};
-
 struct GlobalControllerOptions {
   OptimizerOptions optimizer;
   // Use the marginal-cost descent heuristic instead of the exact LP
@@ -55,7 +41,6 @@ struct GlobalControllerOptions {
   bool use_fast_optimizer = false;
   FastOptimizerOptions fast_optimizer;
   FitterOptions fitter;
-  GuardrailOptions guardrails;
   // Seed the latency model from the application spec ("offline profile");
   // online fitting refines it. When false the model cold-starts from the
   // default service time.
@@ -96,8 +81,7 @@ struct GlobalControllerOptions {
   double stale_demand_floor = 1e-3;
 
   // Control-plane hardening gates (telemetry admission, solver fallback
-  // ladder, guarded rollout). All off by default; when rollout is enabled
-  // it supersedes the legacy `guardrails` blend/revert path above.
+  // ladder, guarded rollout). All off by default.
   GuardOptions guard;
 
   // Demand forecasting (docs/forecasting.md). kNone solves on the measured
@@ -140,8 +124,8 @@ class GlobalController {
 
   // Processes the reports for the period ending at `now`. Returns the rule
   // set to push to cluster controllers, or nullptr when rules should stay
-  // unchanged this period (hold after revert, optimizer failure, or no
-  // demand observed yet). `reports` may be missing clusters — or be empty —
+  // unchanged this period (rollout canary or freeze, optimizer failure, or
+  // no demand observed yet). `reports` may be missing clusters — or be empty —
   // when telemetry is lost; the controller holds last-known state and ages
   // out clusters it has not heard from (see stale_after_periods).
   std::shared_ptr<const RoutingRuleSet> on_reports(
@@ -190,7 +174,6 @@ class GlobalController {
   }
 
   [[nodiscard]] const LatencyModel& model() const noexcept { return model_; }
-  [[nodiscard]] LatencyModel& mutable_model() noexcept { return model_; }
   [[nodiscard]] const FlatMatrix<double>& demand() const noexcept { return demand_; }
   // Demand matrix handed to the most recent optimization: the measured
   // estimate (reactive), the confidence blend (predictive), or the actual
@@ -233,7 +216,6 @@ class GlobalController {
   }
 
   [[nodiscard]] std::uint64_t rounds() const noexcept { return rounds_; }
-  [[nodiscard]] std::uint64_t reverts() const noexcept { return reverts_; }
   [[nodiscard]] std::uint64_t optimizations() const noexcept { return optimizations_; }
   // Periods the controller held existing rules because every solver rung
   // failed (or, unguarded, because the solver was down/failed).
@@ -296,9 +278,6 @@ class GlobalController {
   // Fills solve_demand_ for the active forecast mode and returns it, or
   // returns demand_ untouched when reactive (bit-identical legacy path).
   [[nodiscard]] const FlatMatrix<double>& solve_demand_input(double now);
-  // Demand-weighted mean e2e latency across reports; negative when too few
-  // samples to judge.
-  [[nodiscard]] double observed_e2e(const std::vector<ClusterReport>& reports) const;
   [[nodiscard]] LiveSignal live_signal(
       const std::vector<ClusterReport>& reports) const;
   // Stamps a fresh epoch on a non-null push and records it as current.
@@ -346,17 +325,11 @@ class GlobalController {
   std::vector<bool> cluster_stale_;
 
   std::shared_ptr<const RoutingRuleSet> current_rules_;
-  std::shared_ptr<const RoutingRuleSet> previous_rules_;
   OptimizerResult last_result_;
 
   // Demand matrix of the last period that actually solved; empty until the
   // first solve. Input to the resolve_tolerance gate.
   FlatMatrix<double> last_solved_demand_;
-
-  // Guardrail state.
-  bool pending_eval_ = false;
-  double baseline_e2e_ = -1.0;
-  std::size_t hold_remaining_ = 0;
 
   // Guard stages (null when disabled).
   std::unique_ptr<ReportValidator> validator_;
@@ -366,7 +339,6 @@ class GlobalController {
   std::uint64_t epoch_seq_ = 0;
 
   std::uint64_t rounds_ = 0;
-  std::uint64_t reverts_ = 0;
   std::uint64_t optimizations_ = 0;
   std::uint64_t solver_holds_ = 0;
   std::uint64_t resolve_skips_ = 0;

@@ -4,7 +4,7 @@
 // the optimizer's output, move a fraction of the way there each control
 // period and verify with live telemetry that the objective actually
 // improved. These helpers implement the "move a fraction" part; the
-// verify/revert logic lives in GlobalController.
+// verify/rollback logic lives in RuleRollout (guard/rule_rollout.h).
 #pragma once
 
 #include <memory>

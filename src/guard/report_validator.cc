@@ -257,9 +257,9 @@ bool ReportValidator::admit(ClusterReport& report) {
     }
   }
 
-  // End-to-end latency drives the guardrail / canary verdicts. A poisoned
-  // cell is neutralized (count -> 0 removes it from every weighted mean),
-  // a spiking one is clamped.
+  // End-to-end cells drive the rollout canary verdicts (goodput from the
+  // counts, tail from the p99s). A poisoned cell is neutralized (count -> 0
+  // removes it from every sum and weighted mean), a spiking one is clamped.
   for (std::size_t k = 0; k < classes_; ++k) {
     E2eMetrics& e = report.e2e[k];
     if (e.count == 0) continue;

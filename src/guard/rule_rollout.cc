@@ -72,7 +72,6 @@ RolloutDecision RuleRollout::observe(double goodput_rps, double p99,
       current_ = last_good_ != nullptr
                      ? last_good_
                      : std::make_shared<const RoutingRuleSet>();
-      ++epoch_;
       canary_remaining_ = 0;
       freeze_remaining_ = options_.freeze_periods;
       damping_ = std::max(options_.damping_floor, damping_ * 0.5);
@@ -112,7 +111,6 @@ RolloutDecision RuleRollout::apply(
   if (current_ == nullptr || current_->size() == 0) {
     // First actuation: nothing to damp or flap against.
     current_ = std::move(target);
-    ++epoch_;
     ++pushes_;
     canary_remaining_ = options_.canary_periods;
     decision.rules = current_;
@@ -152,9 +150,7 @@ RolloutDecision RuleRollout::apply(
 
   // Calm pushes slowly relax the damping tightened by freezes/rollbacks.
   damping_ = std::min(1.0, damping_ + 0.05);
-  flap_distance_sum_ += dist;
   current_ = std::move(blended);
-  ++epoch_;
   ++pushes_;
   canary_remaining_ = options_.canary_periods;
   decision.rules = current_;

@@ -3,8 +3,6 @@
 // Every rule push is a fleet-wide actuation; this stage makes each one
 // reversible and rate-limited:
 //
-//   * epoch stamping — each applied rule set gets a monotonically
-//     increasing epoch; cluster controllers discard stale pushes;
 //   * damping — the per-rule L-inf weight change of one push is capped;
 //     bigger optimizer jumps are approached over several periods;
 //   * canary — after a push, live goodput/p99 are compared against the
@@ -18,7 +16,9 @@
 // The caller (GlobalController) drives two phases per control period:
 // observe() with this period's live telemetry before solving (canary
 // verdicts and freeze bookkeeping), then apply() with the solver's target
-// (damping, flap detection, and the actual push decision).
+// (damping, flap detection, and the actual push decision). The caller
+// also stamps every push it returns, rollbacks included, with the epoch
+// cluster controllers use to discard stale pushes.
 #pragma once
 
 #include <cstdint>
@@ -57,11 +57,6 @@ class RuleRollout {
   // the blended rules to push) or holds.
   RolloutDecision apply(std::shared_ptr<const RoutingRuleSet> target);
 
-  // Epoch of the most recently applied rule set (0 = nothing applied).
-  [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
-  [[nodiscard]] std::shared_ptr<const RoutingRuleSet> current() const noexcept {
-    return current_;
-  }
   [[nodiscard]] std::shared_ptr<const RoutingRuleSet> last_known_good()
       const noexcept {
     return last_good_;
@@ -77,18 +72,12 @@ class RuleRollout {
   }
   [[nodiscard]] bool frozen() const noexcept { return freeze_remaining_ > 0; }
   [[nodiscard]] double damping_scale() const noexcept { return damping_; }
-  // Mean L1 distance between successive applied rule sets.
-  [[nodiscard]] double mean_flap_distance() const noexcept {
-    return pushes_ > 1 ? flap_distance_sum_ / static_cast<double>(pushes_ - 1)
-                       : 0.0;
-  }
 
  private:
   RolloutOptions options_;
 
   std::shared_ptr<const RoutingRuleSet> current_;
   std::shared_ptr<const RoutingRuleSet> last_good_;
-  std::uint64_t epoch_ = 0;
 
   // Canary state: >0 while a recent push is under evaluation.
   std::size_t canary_remaining_ = 0;
@@ -108,7 +97,6 @@ class RuleRollout {
   std::uint64_t rollbacks_ = 0;
   std::uint64_t flap_freezes_ = 0;
   std::uint64_t damped_pushes_ = 0;
-  double flap_distance_sum_ = 0.0;
 };
 
 }  // namespace slate

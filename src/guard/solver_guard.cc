@@ -44,14 +44,10 @@ SolverGuard::SolverGuard(const Application& app, const Deployment& deployment,
       options_(options) {}
 
 bool SolverGuard::accept(const OptimizerResult& result,
-                         double elapsed_seconds) {
-  last_solve_seconds_ = elapsed_seconds;
-  max_solve_seconds_ = std::max(max_solve_seconds_, elapsed_seconds);
-  const bool over_budget =
-      options_.wall_budget > 0.0 && elapsed_seconds > options_.wall_budget;
-  if (over_budget) ++budget_overruns_;
+                         double elapsed_seconds) const {
   if (!result.ok() || !rules_finite(result.rules.get())) return false;
-  return !(over_budget && options_.enforce_budget);
+  return !(options_.enforce_budget && options_.wall_budget > 0.0 &&
+           elapsed_seconds > options_.wall_budget);
 }
 
 SolverGuard::Outcome SolverGuard::solve(
@@ -85,7 +81,6 @@ SolverGuard::Outcome SolverGuard::solve(
   };
 
   auto settle = [&](OptimizerResult result, SolverRung rung) {
-    last_rung_ = rung;
     ++rung_counts_[static_cast<std::size_t>(rung)];
     if (rung != SolverRung::kPrimary) {
       SLATE_LOG(kInfo) << "solver guard: settled on rung "

@@ -16,9 +16,10 @@
 //
 // Descent is deterministic: a rung is skipped when its solver reports
 // infeasibility/failure or when an injected solver outage marks the
-// model-driven rungs (0-1) down. Wall-clock budgets are measured and
-// reported always, but only enforce descent when opted in — host timing
-// must not change the plan in reproducible runs.
+// model-driven rungs (0-1) down. A wall-clock budget only forces descent
+// when opted in — host timing must not change the plan in reproducible
+// runs. Solve wall time is reported by the controller's SolveTelemetry
+// (the `solver_*_seconds` result rows), not here.
 #pragma once
 
 #include <chrono>
@@ -75,17 +76,6 @@ class SolverGuard {
   [[nodiscard]] std::uint64_t fallbacks() const noexcept {
     return rung_counts_[1] + rung_counts_[2] + rung_counts_[3];
   }
-  [[nodiscard]] SolverRung last_rung() const noexcept { return last_rung_; }
-  [[nodiscard]] double last_solve_seconds() const noexcept {
-    return last_solve_seconds_;
-  }
-  [[nodiscard]] double max_solve_seconds() const noexcept {
-    return max_solve_seconds_;
-  }
-  // Solves whose measured wall time exceeded the budget (enforced or not).
-  [[nodiscard]] std::uint64_t budget_overruns() const noexcept {
-    return budget_overruns_;
-  }
 
  private:
   // Rung 2: capacity-proportional weights with local preference for every
@@ -93,9 +83,10 @@ class SolverGuard {
   [[nodiscard]] OptimizerResult capacity_split(
       const LatencyModel& model, const std::vector<unsigned>* live_servers) const;
 
-  // Records wall time; returns true when the result is usable (and, with
-  // enforcement on, within budget).
-  bool accept(const OptimizerResult& result, double elapsed_seconds);
+  // True when the result is usable (and, with enforcement on, within
+  // budget).
+  [[nodiscard]] bool accept(const OptimizerResult& result,
+                            double elapsed_seconds) const;
 
   const Application* app_;
   const Deployment* deployment_;
@@ -105,10 +96,6 @@ class SolverGuard {
   std::uint64_t rung_counts_[4] = {0, 0, 0, 0};
   // Consecutive periods the model-driven rungs (0-1) have been unusable.
   std::size_t consecutive_degraded_ = 0;
-  SolverRung last_rung_ = SolverRung::kPrimary;
-  double last_solve_seconds_ = 0.0;
-  double max_solve_seconds_ = 0.0;
-  std::uint64_t budget_overruns_ = 0;
 };
 
 }  // namespace slate

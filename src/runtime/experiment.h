@@ -289,7 +289,6 @@ using CounterType = std::conditional_t<
      control period; held periods (canary, solver hold, flap freeze) count     \
      with zero movement, so the mean is churn per unit time. */                \
   X(U64, controller_rounds, 0, "periods", kSum, kDeterministic, controller)    \
-  X(U64, controller_reverts, 0, "periods", kSum, kDeterministic, controller)   \
   X(U64, rule_pushes, 0, "pushes", kSum, kDeterministic, controller)           \
   X(F64, rule_delta_sum, 0.0, "l1", kSum, kDeterministic, controller)          \
   X(U64, rule_delta_count, 0, "periods", kSum, kDeterministic, controller)     \
@@ -315,7 +314,7 @@ using CounterType = std::conditional_t<
   X(F64, solver_last_seconds, 0.0, "s", kLast, kWallClock, solver)             \
   X(F64, solver_max_seconds, 0.0, "s", kMax, kWallClock, solver)               \
   X(F64, solver_total_seconds, 0.0, "s", kSum, kWallClock, solver)             \
-  /* Rule rollout: canary reverts, flap-detector freezes, pushes clipped by    \
+  /* Rule rollout: canary rollbacks, flap-detector freezes, pushes clipped by  \
      the delta cap, epoch-stale pushes discarded. */                           \
   X(U64, rollout_rollbacks, 0, "pushes", kSum, kDeterministic, rollout)        \
   X(U64, rollout_flap_freezes, 0, "periods", kSum, kDeterministic, rollout)    \

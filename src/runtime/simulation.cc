@@ -1533,7 +1533,6 @@ ExperimentResult Simulation::run() {
   }
   if (global_ != nullptr) {
     result_.controller_rounds = global_->rounds();
-    result_.controller_reverts = global_->reverts();
     result_.solver_holds = global_->solver_holds();
     result_.solver_resolve_skips = global_->resolve_skips();
     result_.forecast_solves = global_->forecast_solves();

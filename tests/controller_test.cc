@@ -1,6 +1,6 @@
 // Tests for the control hierarchy: SlateProxy telemetry, ClusterController
 // aggregation/rule fan-out, and the GlobalController loop including the
-// guarded (incremental + revert) rule application of paper §5.
+// guarded rollout (damped steps + canary rollback) of paper §5.
 #include <gtest/gtest.h>
 
 #include "app/builders.h"
@@ -235,70 +235,101 @@ TEST(GlobalController, FreezeModelSkipsFitting) {
       controller.model().service_time(svc, ClassId{0}, ClusterId{0}), before);
 }
 
-TEST(GlobalController, GuardrailStepIsIncremental) {
-  const Scenario scenario = make_two_cluster_chain_scenario({});
+// Guarded rollout armed with `canary_periods` canary periods and a
+// 10-sample verdict floor (the synthetic reports carry hundreds).
+GlobalControllerOptions rollout_options(std::size_t canary_periods) {
   GlobalControllerOptions options;
-  options.guardrails.enabled = true;
-  options.guardrails.step_fraction = 0.25;
-  GlobalController controller(*scenario.app, *scenario.deployment,
-                              *scenario.topology, options);
-  const ServiceId svc = scenario.app->find_service("svc-1");
-
-  // Heavy west overload: the optimizer's target offloads a lot, but the
-  // first guarded push must stay within step_fraction of the (implicitly
-  // local) previous rules.
-  std::vector<ClusterReport> reports{
-      synthetic_report(ClusterId{0}, 0.0, 1.0, svc, 800.0, 2e-3, 0.95, 50e-3),
-      synthetic_report(ClusterId{1}, 0.0, 1.0, svc, 100.0, 2e-3, 0.2, 8e-3)};
-  const auto first = controller.on_reports(reports, 1.0);
-  ASSERT_NE(first, nullptr);
-  const auto second = controller.on_reports(reports, 2.0);
-  ASSERT_NE(second, nullptr);
-  // The second push moves strictly closer to the target than the first
-  // (monotone approach under a constant target).
-  const OptimizerResult& target = controller.last_result();
-  EXPECT_LT(rule_set_distance(*second, *target.rules),
-            rule_set_distance(*first, *target.rules) + 1e-9);
+  options.guard.rollout.enabled = true;
+  options.guard.rollout.canary_periods = canary_periods;
+  options.guard.rollout.min_samples = 10;
+  return options;
 }
 
-TEST(GlobalController, GuardrailRevertsOnRegression) {
+// One period of two-cluster reports at the given west/east class-0 RPS.
+std::vector<ClusterReport> chain_reports(ServiceId svc, double t,
+                                         double west_rps, double east_rps,
+                                         double west_util = 0.9) {
+  return {synthetic_report(ClusterId{0}, t - 1.0, t, svc, west_rps, 2e-3,
+                           west_util, 10e-3),
+          synthetic_report(ClusterId{1}, t - 1.0, t, svc, east_rps, 2e-3, 0.2,
+                           10e-3)};
+}
+
+TEST(GlobalController, RolloutDampsALargeSecondPush) {
   const Scenario scenario = make_two_cluster_chain_scenario({});
-  GlobalControllerOptions options;
-  options.guardrails.enabled = true;
-  options.guardrails.step_fraction = 1.0;
-  options.guardrails.regression_tolerance = 0.2;
-  options.guardrails.min_e2e_samples = 10;
+  GlobalControllerOptions options = rollout_options(1);
+  options.demand_smoothing = 1.0;
   GlobalController controller(*scenario.app, *scenario.deployment,
                               *scenario.topology, options);
   const ServiceId svc = scenario.app->find_service("svc-1");
 
-  // Period 1: healthy baseline (e2e 10ms), rules pushed.
-  std::vector<ClusterReport> healthy{
-      synthetic_report(ClusterId{0}, 0.0, 1.0, svc, 700.0, 2e-3, 0.9, 10e-3),
-      synthetic_report(ClusterId{1}, 0.0, 1.0, svc, 100.0, 2e-3, 0.2, 10e-3)};
-  const auto push1 = controller.on_reports(healthy, 1.0);
-  ASSERT_NE(push1, nullptr);
+  // Light load: the first push is applied verbatim (nothing to damp
+  // against) and arms a one-period canary.
+  const auto first =
+      controller.on_reports(chain_reports(svc, 1.0, 100.0, 100.0, 0.2), 1.0);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(controller.rollout()->damped_pushes(), 0u);
 
-  // Period 2: e2e exploded (100ms >> 10ms * 1.2) -> revert.
-  std::vector<ClusterReport> regressed{
-      synthetic_report(ClusterId{0}, 1.0, 2.0, svc, 700.0, 2e-3, 0.9, 100e-3),
-      synthetic_report(ClusterId{1}, 1.0, 2.0, svc, 100.0, 2e-3, 0.2, 100e-3)};
-  const auto push2 = controller.on_reports(regressed, 2.0);
-  EXPECT_EQ(controller.reverts(), 1u);
-  // The revert re-pushes the previous rules (null would mean "no change";
-  // the controller explicitly returns the restored set).
-  ASSERT_NE(push2, nullptr);
+  // Heavy west overload: the canary passes (goodput rose), and the new
+  // target offloads far more than one push may move, so the second push
+  // is a damped step that stops short of the target.
+  const auto second =
+      controller.on_reports(chain_reports(svc, 2.0, 800.0, 100.0), 2.0);
+  ASSERT_NE(second, nullptr);
+  EXPECT_EQ(controller.rollout()->damped_pushes(), 1u);
+  EXPECT_EQ(controller.rollout()->rollbacks(), 0u);
+  const OptimizerResult& target = controller.last_result();
+  EXPECT_GT(rule_set_distance(*second, *target.rules), 0.0);
+  EXPECT_EQ(controller.last_push_epoch(), 2u);
+}
 
-  // During the hold period no new optimization is applied.
-  const auto push3 = controller.on_reports(regressed, 3.0);
-  EXPECT_EQ(push3, nullptr);
+TEST(GlobalController, RolloutRollsBackOnGoodputDrop) {
+  const Scenario scenario = make_two_cluster_chain_scenario({});
+  GlobalController controller(*scenario.app, *scenario.deployment,
+                              *scenario.topology, rollout_options(2));
+  const ServiceId svc = scenario.app->find_service("svc-1");
+
+  // Period 1: healthy 800 RPS baseline, rules pushed under a canary.
+  ASSERT_NE(controller.on_reports(chain_reports(svc, 1.0, 700.0, 100.0), 1.0),
+            nullptr);
+  const std::uint64_t pushed_epoch = controller.last_push_epoch();
+
+  // Period 2: goodput halves (800 -> 400 RPS, past the 25% drop) inside
+  // the canary window: the fleet rolls back to last-known-good (no rule
+  // set survived a canary yet, so the empty set) under a fresh epoch.
+  const auto rollback =
+      controller.on_reports(chain_reports(svc, 2.0, 300.0, 100.0), 2.0);
+  ASSERT_NE(rollback, nullptr);
+  EXPECT_EQ(rollback->size(), 0u);
+  EXPECT_EQ(controller.rollout()->rollbacks(), 1u);
+  EXPECT_GT(controller.last_push_epoch(), pushed_epoch);
+
+  // Period 3: rollout is frozen while telemetry recovers: no actuation.
+  EXPECT_TRUE(controller.rollout()->frozen());
+  EXPECT_EQ(controller.on_reports(chain_reports(svc, 3.0, 700.0, 100.0), 3.0),
+            nullptr);
+}
+
+TEST(GlobalController, RolloutToleratesDropWithinTolerance) {
+  const Scenario scenario = make_two_cluster_chain_scenario({});
+  GlobalController controller(*scenario.app, *scenario.deployment,
+                              *scenario.topology, rollout_options(2));
+  const ServiceId svc = scenario.app->find_service("svc-1");
+  ASSERT_NE(controller.on_reports(chain_reports(svc, 1.0, 700.0, 100.0), 1.0),
+            nullptr);
+  // 800 -> 700 RPS is a 12.5% drop, inside the 25% tolerance: the canary
+  // keeps evaluating instead of rolling back.
+  EXPECT_EQ(controller.on_reports(chain_reports(svc, 2.0, 600.0, 100.0), 2.0),
+            nullptr);
+  EXPECT_EQ(controller.rollout()->rollbacks(), 0u);
+  EXPECT_FALSE(controller.rollout()->frozen());
 }
 
 TEST(GlobalController, FastOptimizerProducesRulesToo) {
   const Scenario scenario = make_two_cluster_chain_scenario({});
   GlobalControllerOptions options;
   options.use_fast_optimizer = true;
-  options.guardrails.enabled = true;  // composes with guardrails
+  options.guard.rollout.enabled = true;  // composes with guarded rollout
   GlobalController controller(*scenario.app, *scenario.deployment,
                               *scenario.topology, options);
   const ServiceId svc = scenario.app->find_service("svc-1");
@@ -323,27 +354,6 @@ TEST(GlobalController, LiveServersTrackedFromReports) {
   controller.on_reports({report}, 1.0);
   EXPECT_EQ(controller.live_servers()[svc.index() * 2 + 1], 7u);
   EXPECT_EQ(controller.live_servers()[svc.index() * 2 + 0], 0u);  // unreported
-}
-
-TEST(GlobalController, NoRevertWithinTolerance) {
-  const Scenario scenario = make_two_cluster_chain_scenario({});
-  GlobalControllerOptions options;
-  options.guardrails.enabled = true;
-  options.guardrails.regression_tolerance = 0.5;
-  options.guardrails.min_e2e_samples = 10;
-  GlobalController controller(*scenario.app, *scenario.deployment,
-                              *scenario.topology, options);
-  const ServiceId svc = scenario.app->find_service("svc-1");
-  std::vector<ClusterReport> healthy{
-      synthetic_report(ClusterId{0}, 0.0, 1.0, svc, 700.0, 2e-3, 0.9, 10e-3),
-      synthetic_report(ClusterId{1}, 0.0, 1.0, svc, 100.0, 2e-3, 0.2, 10e-3)};
-  controller.on_reports(healthy, 1.0);
-  // 20% worse < 50% tolerance: no revert.
-  std::vector<ClusterReport> slightly_worse{
-      synthetic_report(ClusterId{0}, 1.0, 2.0, svc, 700.0, 2e-3, 0.9, 12e-3),
-      synthetic_report(ClusterId{1}, 1.0, 2.0, svc, 100.0, 2e-3, 0.2, 12e-3)};
-  controller.on_reports(slightly_worse, 2.0);
-  EXPECT_EQ(controller.reverts(), 0u);
 }
 
 // --- Rule aging edge cases --------------------------------------------------

@@ -360,7 +360,6 @@ TEST(RuleRollout, FirstPushAppliesVerbatimAndArmsCanary) {
   auto target = two_cluster_rules(0.6);
   const RolloutDecision d = ro.apply(target);
   EXPECT_EQ(d.rules, target);
-  EXPECT_EQ(ro.epoch(), 1u);
   EXPECT_EQ(ro.pushes(), 1u);
   // Mid-canary the caller must hold actuation.
   const RolloutDecision next = ro.observe(1000.0, 0.01, 100);
