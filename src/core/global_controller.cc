@@ -451,8 +451,8 @@ std::shared_ptr<const RoutingRuleSet> GlobalController::on_reports(
   auto exact_arm = [&]() {
     // Warm = the cache did real work this period: either the steady-state
     // memo hit (warm_started) or at least one group's simplex reused the
-    // previous period's basis. Crash pivots can legitimately fail for a
-    // subset of groups (demand moved too far), and a solve that warmed the
+    // previous period's basis. A group still cold-solves when its old basis
+    // is singular for the new coefficients, and a solve that warmed the
     // bulk of the problem should not read as cold in the summary.
     const bool warm = last_result_.warm_started || last_result_.warm_groups > 0;
     return warm ? &SolveTelemetry::exact_warm : &SolveTelemetry::exact_cold;

@@ -112,8 +112,9 @@ struct OptimizerResult {
 // Cross-period solver state owned by the caller (the global controller keeps
 // one per optimizer lifetime). Holds the previous solve's per-group simplex
 // bases — demand moves slowly between control periods, so the old optimal
-// basis is a near-feasible starting point — plus a steady-state memo that
-// returns the cached result outright when every input is bit-identical.
+// basis is a few dual pivots from the new optimum even when the new demand
+// leaves it infeasible — plus a steady-state memo that returns the cached
+// result outright when every input is bit-identical.
 struct OptimizerCache {
   // Per class-group bases (indexed like the partition, which is a function
   // of the immutable application/deployment and therefore stable).
@@ -147,9 +148,11 @@ class RouteOptimizer {
   // runtime; the controller feeds the observed counts back here.
   //
   // `cache`, if non-null, carries warm-start state across periods: the
-  // previous solve's per-group bases (phase 1 is skipped when they still
-  // reach a feasible point) and the steady-state memo (bit-identical inputs
-  // return the cached result outright). Passing null solves cold.
+  // previous solve's per-group bases (each group's solve skips phase 1 and
+  // starts from its old basis, repaired by dual simplex when demand or the
+  // fitted model moved it out of feasibility; see solve_lp) and the
+  // steady-state memo (bit-identical inputs return the cached result
+  // outright). Passing null solves cold.
   OptimizerResult optimize(const LatencyModel& model,
                            const FlatMatrix<double>& demand,
                            const std::vector<unsigned>* live_servers = nullptr,

@@ -204,9 +204,7 @@ class Tableau {
                         std::vector<double>& solution, double& objective,
                         SimplexStats* stats) {
     const int m = static_cast<int>(rows_.size());
-    std::vector<double> full_cost(total_cols_, 0.0);
-    std::copy(cost.begin(), cost.end(), full_cost.begin());
-    build_objective(full_cost);
+    build_objective(padded_cost(cost));
     const LpStatus s2 = iterate(stats);
     if (s2 != LpStatus::kOptimal) return s2;
 
@@ -221,11 +219,14 @@ class Tableau {
   }
 
   // Installs `target` (a previous solve's basis) by crash pivots, skipping
-  // phase 1 entirely. Returns false — leaving the tableau unusable, the
-  // caller must cold-solve a fresh one — when the basis does not fit this
-  // tableau or does not reach a primal-feasible point (demand moved too far
-  // since the basis was cut).
-  bool try_warm(const std::vector<int>& target) {
+  // phase 1 entirely. When demand moved since the basis was cut, the crashed
+  // point is primal infeasible yet typically a few dual pivots from the new
+  // optimum, so a dual simplex phase repairs it (repair_dual). Returns
+  // false — leaving the tableau unusable, the caller must cold-solve a fresh
+  // one — only when the basis does not fit this tableau (wrong size,
+  // numerically singular crash) or the repair fails.
+  bool try_warm(const std::vector<int>& target, const std::vector<double>& cost,
+                SimplexStats* stats) {
     const int m = static_cast<int>(rows_.size());
     if (static_cast<int>(target.size()) != m) return false;
     std::vector<char> in_target(total_cols_, 0);
@@ -255,18 +256,12 @@ class Tableau {
       pivot(pivot_row, c);
       is_basic[c] = 1;
     }
-    // Primal feasibility at the reconstructed basis: nonnegative rhs (tiny
-    // negative rounding dust is clamped), and no artificial basic above
-    // noise level.
-    for (int i = 0; i < m; ++i) {
-      double& rhs = rows_[i][total_cols_];
-      if (rhs < 0.0) {
-        if (rhs < -1e-7) return false;
-        rhs = 0.0;
-      }
-      if (basis_[i] >= first_artificial_ && rhs > 1e-7) return false;
-    }
     artificials_disabled_ = true;
+    if (primal_infeasible_row(false) >= 0 && !repair_dual(cost, stats)) {
+      return false;
+    }
+    // Tiny negative rounding dust is clamped.
+    for (auto& row : rows_) row[total_cols_] = std::max(row[total_cols_], 0.0);
     return true;
   }
 
@@ -278,7 +273,6 @@ class Tableau {
   // Rebuilds the reduced-cost row for the given column costs, pricing out
   // the current basis.
   void build_objective(const std::vector<double>& cost) {
-    current_cost_ = cost;
     obj_.assign(total_cols_ + 1, 0.0);
     for (int c = 0; c < total_cols_; ++c) obj_[c] = cost[c];
     obj_[total_cols_] = 0.0;
@@ -290,6 +284,90 @@ class Tableau {
   }
 
   [[nodiscard]] double objective_value() const { return -obj_[total_cols_]; }
+
+  // Phase-2 costs over every tableau column: structural costs, zero on
+  // slack and artificial columns.
+  [[nodiscard]] std::vector<double> padded_cost(
+      const std::vector<double>& cost) const {
+    std::vector<double> full(total_cols_, 0.0);
+    std::copy(cost.begin(), cost.end(), full.begin());
+    return full;
+  }
+
+  // A row whose basic value is out of bounds beyond the 1e-7 dust level: a
+  // negative value, or an artificial (whose only allowed value is 0) above
+  // it. -1 when the basis is primal feasible. `bland` picks the row with the
+  // lowest basic column; otherwise the largest violation.
+  [[nodiscard]] int primal_infeasible_row(bool bland) const {
+    int row = -1;
+    double worst = 0.0;
+    for (int i = 0; i < static_cast<int>(rows_.size()); ++i) {
+      const double rhs = rows_[i][total_cols_];
+      const double violation =
+          basis_[i] >= first_artificial_ ? std::abs(rhs) : -rhs;
+      if (violation <= 1e-7) continue;
+      if (bland) {
+        if (row < 0 || basis_[i] < basis_[row]) row = i;
+      } else if (violation > worst) {
+        worst = violation;
+        row = i;
+      }
+    }
+    return row;
+  }
+
+  // Dual simplex from a primal-infeasible basis. Negative reduced costs are
+  // first zeroed (cost shifting), so the basis starts dual feasible whatever
+  // the new costs; each pivot then moves an out-of-bounds basic to its bound
+  // via the dual ratio test over non-artificial columns. Ends primal
+  // feasible, optimal for the shifted costs; the caller's phase 2 restores
+  // the true objective. False when a violated row has no entering column
+  // (the LP may be infeasible) or the iteration limit is hit.
+  bool repair_dual(const std::vector<double>& cost, SimplexStats* stats) {
+    build_objective(padded_cost(cost));
+    for (int c = 0; c < first_artificial_; ++c) obj_[c] = std::max(obj_[c], 0.0);
+    std::uint64_t pivots = 0;
+    bool repaired = false;
+    for (; pivots < options_.max_iterations; ++pivots) {
+      const bool bland = pivots >= options_.bland_after;
+      const int row = primal_infeasible_row(bland);
+      if (row < 0) {
+        repaired = true;
+        break;
+      }
+      const int entering = dual_entering(row, bland);
+      if (entering < 0) break;
+      pivot(row, entering);
+    }
+    if (stats != nullptr) stats->iterations += pivots;
+    return repaired;
+  }
+
+  // Dual ratio test on violated row `row`: the non-artificial column whose
+  // entry moves the basic towards its bound (negative entries raise a value
+  // below zero, positive ones lower an artificial above zero) at the least
+  // reduced cost per unit of entry, preferring the larger entry among ties
+  // (the lowest column under Bland's rule). -1 when no column qualifies.
+  [[nodiscard]] int dual_entering(int row, bool bland) const {
+    const double tol = options_.tolerance;
+    const auto& r = rows_[row];
+    const double dir = r[total_cols_] < 0.0 ? -1.0 : 1.0;
+    int entering = -1;
+    double best_ratio = kLpInfinity;
+    double best_entry = 0.0;
+    for (int c = 0; c < first_artificial_; ++c) {
+      const double a = dir * r[c];
+      if (a <= tol) continue;
+      const double ratio = std::max(obj_[c], 0.0) / a;
+      if (ratio < best_ratio - tol ||
+          (!bland && ratio < best_ratio + tol && a > best_entry)) {
+        best_ratio = ratio;
+        best_entry = a;
+        entering = c;
+      }
+    }
+    return entering;
+  }
 
   // After phase 1: pivot lingering artificials out of the basis or drop
   // their (redundant) rows, then forbid artificial columns.
@@ -394,7 +472,6 @@ class Tableau {
   bool artificials_disabled_ = false;
   std::vector<std::vector<double>> rows_;
   std::vector<double> obj_;
-  std::vector<double> current_cost_;
   std::vector<int> basis_;
 };
 
@@ -416,7 +493,7 @@ LpSolution solve_lp(const LpModel& model, const SimplexOptions& options,
 
   if (warm != nullptr && warm->valid() && warm->signature == signature) {
     Tableau tableau(t, options);
-    if (tableau.try_warm(warm->basis) &&
+    if (tableau.try_warm(warm->basis, t.cost, stats) &&
         tableau.solve_phase2(t.cost, columns, objective, stats) ==
             LpStatus::kOptimal) {
       result.status = LpStatus::kOptimal;

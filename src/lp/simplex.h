@@ -1,11 +1,16 @@
 // Two-phase primal simplex for LpModel (LP relaxation: integrality ignored).
 //
-// Dense tableau implementation. Bounded variables are handled by
-// substitution (lower bounds shifted to zero, finite upper bounds become
-// explicit rows, free variables split); phase 1 minimizes artificial
-// infeasibility, phase 2 the user objective. The entering rule is
-// most-negative reduced cost, switching to Bland's rule after a fixed number
-// of iterations to guarantee termination on degenerate problems.
+// Dense tableau implementation. Variables are brought to standard form by
+// substitution (lower bounds shifted to zero, free variables split); finite
+// upper bounds become explicit rows, not bounds in the ratio test. Phase 1
+// minimizes artificial infeasibility, phase 2 the user objective. The
+// entering rule is most-negative reduced cost, switching to Bland's rule
+// after a fixed number of iterations to guarantee termination on degenerate
+// problems.
+//
+// A warm start replaces phase 1: crash pivots rebuild a previous solve's
+// basis, a dual simplex phase repairs it when the new rhs or coefficients
+// left it primal infeasible, and phase 2 finishes from there.
 //
 // Problem sizes in SLATE are modest (hundreds to a few thousand variables),
 // where a dense tableau is simple, cache-friendly, and fast enough; see
@@ -31,15 +36,17 @@ struct SimplexStats {
   int phase1_rows = 0;
   int columns = 0;
   // True when the solve skipped phase 1 by reusing a caller-supplied basis.
+  // `iterations` then counts dual repair pivots plus phase 2 iterations.
   bool warm_started = false;
 };
 
 // An optimal basis exported by a previous solve, reusable as a warm start
 // for a structurally identical model (same constraint/variable layout; only
 // coefficients, bounds, and rhs may differ — the control loop's case, where
-// demand moves between periods but the LP shape is fixed). `signature`
-// fingerprints the transformed layout; a solve handed a basis with a stale
-// signature simply cold-solves and overwrites it.
+// demand moves between periods but the LP shape is fixed). Only the basis is
+// kept, not the tableau: the next solve rebuilds it by crash pivots.
+// `signature` fingerprints the transformed layout; a solve handed a basis
+// with a stale signature simply cold-solves and overwrites it.
 struct SimplexBasis {
   std::uint64_t signature = 0;
   std::vector<int> basis;  // basic column per transformed row
@@ -49,10 +56,13 @@ struct SimplexBasis {
 
 // Solves the LP relaxation of `model`. `stats`, if non-null, receives
 // iteration counts. `warm`, if non-null, is both input and output: a valid
-// matching basis skips phase 1 (reconstructing the previous period's basis
-// and resuming phase 2 from it, falling back to a cold solve if the basis
-// no longer reaches a feasible point); on any optimal solve the final basis
-// is written back for the next period.
+// matching basis skips phase 1 (reconstructing the previous period's basis,
+// repairing it by dual simplex if the new data made it primal infeasible,
+// and resuming phase 2 from it). The solve falls back to cold only when the
+// basis is numerically singular for the new coefficients or the repair
+// finds no entering column (the LP may be infeasible, which the cold solve
+// then reports) or hits the iteration limit. On any optimal solve the final
+// basis is written back for the next period.
 LpSolution solve_lp(const LpModel& model, const SimplexOptions& options = {},
                     SimplexStats* stats = nullptr,
                     SimplexBasis* warm = nullptr);

@@ -3,7 +3,10 @@
 // piecewise-linear convexifier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "lp/branch_and_bound.h"
 #include "lp/model.h"
@@ -204,6 +207,57 @@ TEST(Milp, NodeLimitReturnsIncumbentWithLimitStatus) {
   EXPECT_NE(sol.status, LpStatus::kOptimal);
 }
 
+// A random LP kept as data, so a test can perturb its rhs, costs and
+// coefficients and rebuild it with the same layout.
+struct RandomLp {
+  std::vector<double> witness;  // a known feasible point
+  std::vector<double> costs;
+  std::vector<std::vector<double>> coeffs;  // dense, one per row
+  std::vector<Relation> rels;
+  std::vector<double> rhs;
+
+  [[nodiscard]] LpModel model() const {
+    LpModel lp;
+    for (const double c : costs) lp.add_variable(0.0, 10.0, c);
+    for (std::size_t i = 0; i < rhs.size(); ++i) {
+      std::vector<LinearTerm> terms;
+      for (std::size_t j = 0; j < costs.size(); ++j) {
+        terms.push_back({static_cast<int>(j), coeffs[i][j]});
+      }
+      lp.add_constraint(std::move(terms), rels[i], rhs[i]);
+    }
+    return lp;
+  }
+};
+
+// 2-7 variables in [0, 10], 1-8 rows placed so the witness satisfies each
+// (inequalities with slack). Every row is <= unless `mixed`, which draws
+// each row's relation from <=, >= and =.
+RandomLp random_lp(Rng& rng, bool mixed) {
+  const int n = 2 + static_cast<int>(rng.uniform_u64(6));
+  const int m = 1 + static_cast<int>(rng.uniform_u64(8));
+  RandomLp lp;
+  for (int j = 0; j < n; ++j) {
+    lp.witness.push_back(rng.uniform(0.0, 5.0));
+    lp.costs.push_back(rng.uniform(-3.0, 3.0));
+  }
+  for (int i = 0; i < m; ++i) {
+    std::vector<double> row;
+    double lhs = 0.0;
+    for (int j = 0; j < n; ++j) {
+      row.push_back(rng.uniform(-2.0, 2.0));
+      lhs += row.back() * lp.witness[j];
+    }
+    const Relation rel =
+        mixed ? static_cast<Relation>(rng.uniform_u64(3)) : Relation::kLessEqual;
+    const double slack = rel == Relation::kEqual ? 0.0 : rng.uniform(0.1, 2.0);
+    lp.coeffs.push_back(std::move(row));
+    lp.rels.push_back(rel);
+    lp.rhs.push_back(rel == Relation::kGreaterEqual ? lhs - slack : lhs + slack);
+  }
+  return lp;
+}
+
 // Randomized property test: generate LPs with a known feasible point; the
 // solver must (a) report optimal, (b) return a feasible solution, (c) beat
 // or match the known point's objective.
@@ -211,35 +265,116 @@ class RandomLpTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomLpTest, FeasibleAndNoWorseThanWitness) {
   Rng rng(1000 + static_cast<std::uint64_t>(GetParam()));
-  const int n = 2 + static_cast<int>(rng.uniform_u64(6));
-  const int m = 1 + static_cast<int>(rng.uniform_u64(8));
-
-  LpModel lp;
-  std::vector<double> witness(n);
-  for (int j = 0; j < n; ++j) {
-    witness[j] = rng.uniform(0.0, 5.0);
-    lp.add_variable(0.0, 10.0, rng.uniform(-3.0, 3.0));
-  }
-  for (int i = 0; i < m; ++i) {
-    std::vector<LinearTerm> terms;
-    double lhs = 0.0;
-    for (int j = 0; j < n; ++j) {
-      const double c = rng.uniform(-2.0, 2.0);
-      terms.push_back({j, c});
-      lhs += c * witness[j];
-    }
-    // Place the rhs so the witness satisfies the row with slack.
-    lp.add_constraint(std::move(terms), Relation::kLessEqual,
-                      lhs + rng.uniform(0.1, 2.0));
-  }
-
+  const RandomLp random = random_lp(rng, false);
+  const LpModel lp = random.model();
   const LpSolution sol = solve_lp(lp);
   ASSERT_EQ(sol.status, LpStatus::kOptimal);
   EXPECT_TRUE(lp.is_feasible(sol.values, 1e-6));
-  EXPECT_LE(sol.objective, lp.objective_value(witness) + 1e-6);
+  EXPECT_LE(sol.objective, lp.objective_value(random.witness) + 1e-6);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomLpTest, ::testing::Range(0, 40));
+
+// Differential fuzz of the warm start: solve a mixed random LP cold, then
+// re-solve a chain of perturbations of it (rhs only, costs only,
+// coefficients only, all three; each value scaled by up to +-30%) from the
+// previous solve's basis and compare every one with a cold solve.
+class WarmStartDiffTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(WarmStartDiffTest, MatchesColdSolveUnderPerturbation) {
+  constexpr int kRhs = 1;
+  constexpr int kCosts = 2;
+  constexpr int kCoeffs = 4;
+  for (const int perturb : {kRhs, kCosts, kCoeffs, kRhs | kCosts | kCoeffs}) {
+    Rng rng(7000 + static_cast<std::uint64_t>(GetParam()));
+    const RandomLp base = random_lp(rng, true);
+    SimplexBasis basis;
+    ASSERT_EQ(solve_lp(base.model(), {}, nullptr, &basis).status,
+              LpStatus::kOptimal);
+    for (int step = 0; step < 6; ++step) {
+      RandomLp next = base;
+      if ((perturb & kRhs) != 0) {
+        for (double& v : next.rhs) v *= rng.uniform(0.7, 1.3);
+      }
+      if ((perturb & kCosts) != 0) {
+        for (double& v : next.costs) v *= rng.uniform(0.7, 1.3);
+      }
+      if ((perturb & kCoeffs) != 0) {
+        for (auto& row : next.coeffs) {
+          for (double& v : row) v *= rng.uniform(0.7, 1.3);
+        }
+      }
+      const LpModel lp = next.model();
+      SimplexStats stats;
+      const LpSolution warm = solve_lp(lp, {}, &stats, &basis);
+      const LpSolution cold = solve_lp(lp);
+      const std::string where =
+          "perturb " + std::to_string(perturb) + " step " + std::to_string(step);
+      ASSERT_EQ(warm.status, cold.status) << where;
+      if (!cold.ok()) continue;
+      EXPECT_NEAR(warm.objective, cold.objective,
+                  1e-9 * std::max(1.0, std::fabs(cold.objective)))
+          << where;
+      EXPECT_TRUE(lp.is_feasible(warm.values, 1e-6)) << where;
+      // With the coefficients unchanged the crash rebuilds a basis of the
+      // same matrix, and an LP with an optimum cannot leave the dual repair
+      // without an entering column: the solve must stay warm.
+      if ((perturb & kCoeffs) == 0) {
+        EXPECT_TRUE(stats.warm_started) << where;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WarmStartDiffTest, ::testing::Range(0, 60));
+
+TEST(SimplexWarmStart, InfeasibleBasisIsRepairedWarm) {
+  // min -x - y s.t. x + 2y <= 4, 3x + y <= 6: optimum (1.6, 1.2), basis
+  // {x, y}. With the first rhs cut to 1 that basis puts y at -0.6; one dual
+  // pivot (y leaves, the second slack enters) reaches the new optimum (1, 0).
+  auto build = [](double first_rhs) {
+    LpModel lp;
+    const int x = lp.add_variable(0, kLpInfinity, -1.0, "x");
+    const int y = lp.add_variable(0, kLpInfinity, -1.0, "y");
+    lp.add_constraint({{x, 1.0}, {y, 2.0}}, Relation::kLessEqual, first_rhs);
+    lp.add_constraint({{x, 3.0}, {y, 1.0}}, Relation::kLessEqual, 6.0);
+    return lp;
+  };
+  SimplexBasis basis;
+  const LpSolution before = solve_lp(build(4.0), {}, nullptr, &basis);
+  ASSERT_TRUE(before.ok());
+  EXPECT_NEAR(before.objective, -2.8, 1e-9);
+
+  SimplexStats stats;
+  const LpSolution after = solve_lp(build(1.0), {}, &stats, &basis);
+  ASSERT_TRUE(after.ok());
+  EXPECT_TRUE(stats.warm_started);
+  // The dual pivot, then phase 2's pricing pass that finds it optimal.
+  EXPECT_EQ(stats.iterations, 2u);
+  EXPECT_NEAR(after.objective, -1.0, 1e-9);
+  EXPECT_NEAR(after.values[0], 1.0, 1e-9);
+  EXPECT_NEAR(after.values[1], 0.0, 1e-9);
+}
+
+TEST(SimplexWarmStart, PerturbationToInfeasibleReportsInfeasible) {
+  // min x + y s.t. x + y >= rhs, x + 2y <= 8: feasible at rhs 2, infeasible
+  // at rhs 10 (x + y <= 8 - y <= 8). The warm solve must say so, not return
+  // the repaired-looking old vertex.
+  auto build = [](double rhs) {
+    LpModel lp;
+    const int x = lp.add_variable(0, kLpInfinity, 1.0, "x");
+    const int y = lp.add_variable(0, kLpInfinity, 1.0, "y");
+    lp.add_constraint({{x, 1.0}, {y, 1.0}}, Relation::kGreaterEqual, rhs);
+    lp.add_constraint({{x, 1.0}, {y, 2.0}}, Relation::kLessEqual, 8.0);
+    return lp;
+  };
+  SimplexBasis basis;
+  ASSERT_TRUE(solve_lp(build(2.0), {}, nullptr, &basis).ok());
+  SimplexStats stats;
+  const LpSolution sol = solve_lp(build(10.0), {}, &stats, &basis);
+  EXPECT_EQ(sol.status, LpStatus::kInfeasible);
+  EXPECT_FALSE(stats.warm_started);
+}
 
 // Random LPs with equality rows (exercising phase 1 + artificial purge):
 // built from a known solution so feasibility is guaranteed.

@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "app/builders.h"
 #include "core/optimizer.h"
 #include "net/gcp_topology.h"
 #include "runtime/scenarios.h"
 #include "topogen/topogen.h"
+#include "util/rng.h"
 
 namespace slate {
 namespace {
@@ -527,6 +529,9 @@ TEST(OptimizerWarmStart, UnchangedDemandIsBitForBit) {
   expect_identical_rules(cold, warm);
 }
 
+// Re-solves from the cache after demand or the fitted model moved: every
+// group must resume from its previous basis (a primal-infeasible crash is
+// repaired by dual simplex, never cold-solved) and land on the cold optimum.
 TEST(OptimizerWarmStart, PerturbedDemandMatchesColdSolve) {
   const Scenario scenario = synth_world();
   RouteOptimizer optimizer(*scenario.app, *scenario.deployment,
@@ -538,6 +543,22 @@ TEST(OptimizerWarmStart, PerturbedDemandMatchesColdSolve) {
   OptimizerCache cache;
   ASSERT_TRUE(optimizer.optimize(model, demand, nullptr, &cache).ok());
 
+  auto expect_warm_matches_cold = [&](const LatencyModel& m,
+                                      const FlatMatrix<double>& d,
+                                      const std::string& what) {
+    const OptimizerResult warm = optimizer.optimize(m, d, nullptr, &cache);
+    const OptimizerResult cold = optimizer.optimize(m, d);
+    ASSERT_TRUE(warm.ok()) << what;
+    ASSERT_TRUE(cold.ok()) << what;
+    EXPECT_GT(warm.solve_groups, 0u) << what;
+    EXPECT_EQ(warm.warm_groups, warm.solve_groups) << what;
+    // Both are optimal solutions of the same LP: objectives agree to
+    // rounding even when the vertex reached differs.
+    EXPECT_NEAR(warm.objective, cold.objective,
+                1e-6 * std::max(1.0, std::fabs(cold.objective)))
+        << what;
+  };
+
   for (const double scale : {1.02, 0.97, 1.10}) {
     FlatMatrix<double> perturbed = demand;
     for (std::size_t k = 0; k < perturbed.rows(); ++k) {
@@ -545,17 +566,37 @@ TEST(OptimizerWarmStart, PerturbedDemandMatchesColdSolve) {
         perturbed(k, c) *= scale;
       }
     }
-    const OptimizerResult warm =
-        optimizer.optimize(model, perturbed, nullptr, &cache);
-    const OptimizerResult cold = optimizer.optimize(model, perturbed);
-    ASSERT_TRUE(warm.ok());
-    ASSERT_TRUE(cold.ok());
-    // Both are optimal solutions of the same LP: objectives agree to
-    // rounding even when the vertex reached differs.
-    EXPECT_NEAR(warm.objective, cold.objective,
-                1e-6 * std::max(1.0, std::fabs(cold.objective)))
-        << "scale " << scale;
+    expect_warm_matches_cold(model, perturbed,
+                             "scale " + std::to_string(scale));
   }
+
+  // Per-cell demand drift of up to +-30%.
+  Rng rng(77);
+  FlatMatrix<double> drifted = demand;
+  for (std::size_t k = 0; k < drifted.rows(); ++k) {
+    for (std::size_t c = 0; c < drifted.cols(); ++c) {
+      drifted(k, c) *= rng.uniform(0.7, 1.3);
+    }
+  }
+  expect_warm_matches_cold(model, drifted, "per-cell +-30%");
+
+  // A refit: service times move by up to +-5%, which changes the
+  // utilization rows' coefficients as the fitter does every period.
+  LatencyModel refit = model;
+  for (std::size_t s = 0; s < refit.service_count(); ++s) {
+    for (std::size_t k = 0; k < refit.class_count(); ++k) {
+      for (std::size_t c = 0; c < refit.cluster_count(); ++c) {
+        const ServiceId sid{s};
+        const ClassId kid{k};
+        const ClusterId cid{c};
+        if (!refit.has(sid, kid, cid)) continue;
+        refit.set_service_time(sid, kid, cid,
+                               refit.service_time(sid, kid, cid) *
+                                   rng.uniform(0.95, 1.05));
+      }
+    }
+  }
+  expect_warm_matches_cold(refit, demand, "refit +-5%");
 }
 
 TEST(OptimizerWarmStart, MilpModeIgnoresCacheSafely) {
