@@ -12,7 +12,6 @@
 //   --duration=<seconds>   --warmup=<seconds>      (default 60 / 15)
 //   --seed=<n>                                     (default 1)
 //   --cost-weight=<w>      SLATE egress-cost weight (default 1)
-//   --fast                 SLATE: use the descent heuristic, not the LP
 //   --autoscale            enable the per-station autoscaler
 //   --timeout=<seconds>    per-call timeout (enables failure handling)
 //   --retries=<n>          max retries per call (enables failure handling)
@@ -247,8 +246,6 @@ int main(int argc, char** argv) {
       config.seed = to_count(value);
     } else if (parse_flag(argv[i], "--cost-weight", &value)) {
       config.slate.optimizer.cost_weight = to_double(value);
-    } else if (std::strcmp(argv[i], "--fast") == 0) {
-      config.slate.use_fast_optimizer = true;
     } else if (std::strcmp(argv[i], "--autoscale") == 0) {
       config.autoscaler_enabled = true;
     } else if (parse_flag(argv[i], "--timeout", &value)) {

@@ -24,7 +24,7 @@ GlobalController::GlobalController(const Application& app,
                                 topology.cluster_count())),
       fitter_(options.fitter),
       optimizer_(app, deployment, topology, options.optimizer),
-      fast_optimizer_(app, deployment, topology, options.fast_optimizer),
+      solver_guard_(app, deployment, topology, options.guard.solver),
       store_(app.service_count(), app.class_count(), topology.cluster_count(),
              options.sample_capacity),
       demand_(app.class_count(), topology.cluster_count(), 0.0),
@@ -40,10 +40,6 @@ GlobalController::GlobalController(const Application& app,
     validator_ = std::make_unique<ReportValidator>(
         app.service_count(), app.class_count(), topology.cluster_count(),
         options_.guard.admission);
-  }
-  if (options_.guard.solver.enabled) {
-    solver_guard_ = std::make_unique<SolverGuard>(app, deployment, topology,
-                                                  options_.guard.solver);
   }
   if (options_.guard.rollout.enabled) {
     rollout_ = std::make_unique<RuleRollout>(options_.guard.rollout);
@@ -433,93 +429,37 @@ std::shared_ptr<const RoutingRuleSet> GlobalController::on_reports(
   // Live capacity as the solver should see it (drain scaling applied).
   const std::vector<unsigned>* live = capacity_view();
 
-  // Wall-clock the whole solve (whichever arm ends up producing the plan)
-  // and classify the arm for the run summary. Measurement only — see
-  // SolveTelemetry.
+  // Run the solver ladder, wall-clock it, and classify the rung for the run
+  // summary. Measurement only — see SolveTelemetry.
   const auto solve_t0 = std::chrono::steady_clock::now();
-  auto record_solve = [&](std::uint64_t SolveTelemetry::* arm) {
-    const double elapsed = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - solve_t0)
-                               .count();
-    ++solve_telemetry_.solves;
-    solve_telemetry_.last_seconds = elapsed;
-    solve_telemetry_.max_seconds =
-        std::max(solve_telemetry_.max_seconds, elapsed);
-    solve_telemetry_.total_seconds += elapsed;
-    ++(solve_telemetry_.*arm);
-  };
-  auto exact_arm = [&]() {
-    // Warm = the cache did real work this period: either the steady-state
-    // memo hit (warm_started) or at least one group's simplex reused the
-    // previous period's basis. A group still cold-solves when its old basis
-    // is singular for the new coefficients, and a solve that warmed the
-    // bulk of the problem should not read as cold in the summary.
-    const bool warm = last_result_.warm_started || last_result_.warm_groups > 0;
-    return warm ? &SolveTelemetry::exact_warm : &SolveTelemetry::exact_cold;
-  };
-
-  // True when the period's plan came from the primary or fast rung —
-  // fallback-rung plans are margin-measured but never contingency
-  // re-priced (they are already degraded mode).
-  bool plan_from_primary = false;
-  if (solver_guard_ != nullptr) {
-    const bool have_last_good =
-        current_rules_ != nullptr && current_rules_->size() > 0;
-    SolverGuard::Outcome outcome = solver_guard_->solve(
-        optimizer_, fast_optimizer_, options_.use_fast_optimizer, model_,
-        solve_demand, live, &optimizer_cache_, solver_chaos_, have_last_good);
-    ++optimizations_;
-    last_result_ = std::move(outcome.result);
-    if (outcome.rung == SolverRung::kHoldLastGood || !last_result_.ok()) {
-      record_solve(&SolveTelemetry::hold);
-      ++solver_holds_;
-      return nullptr;  // ladder exhausted: keep last-known-good rules
-    }
-    switch (outcome.rung) {
-      case SolverRung::kPrimary:
-        plan_from_primary = true;
-        record_solve(options_.use_fast_optimizer ? &SolveTelemetry::fast
-                                                 : exact_arm());
-        break;
-      case SolverRung::kFastHeuristic:
-        plan_from_primary = true;
-        record_solve(&SolveTelemetry::fast);
-        break;
-      case SolverRung::kCapacitySplit:
-        record_solve(&SolveTelemetry::split);
-        break;
-      case SolverRung::kHoldLastGood:
-        break;  // handled above
-    }
-  } else {
-    if (solver_chaos_) {
-      // Unguarded solver outage: no plan at all — the fleet keeps
-      // executing whatever was pushed last.
-      ++solver_holds_;
-      return nullptr;
-    }
-    last_result_ =
-        options_.use_fast_optimizer
-            ? fast_optimizer_.optimize(model_, solve_demand, live)
-            : optimizer_.optimize(model_, solve_demand, live,
-                                  &optimizer_cache_);
-    ++optimizations_;
-    if (options_.use_fast_optimizer &&
-        last_result_.status == LpStatus::kIterationLimit) {
-      // Descent ran out of sweeps but still holds a valid (improving) plan.
-      last_result_.status = LpStatus::kOptimal;
-    }
-    if (!last_result_.ok()) {
-      SLATE_LOG(kWarn) << "optimizer failed: "
-                       << to_string(last_result_.status);
-      record_solve(&SolveTelemetry::hold);
-      ++solver_holds_;
-      return nullptr;
-    }
-    plan_from_primary = true;
-    record_solve(options_.use_fast_optimizer ? &SolveTelemetry::fast
-                                             : exact_arm());
-  }
+  SolverGuard::Outcome outcome = solver_guard_.solve(
+      optimizer_, model_, solve_demand, live, &optimizer_cache_, solver_chaos_,
+      current_rules_ != nullptr && current_rules_->size() > 0);
+  // A hold keeps last-known-good rules and leaves last_result_ as the plan
+  // in force (the bi-level coordinator keeps re-pushing it).
+  const bool hold = outcome.rung == SolverRung::kHoldLastGood;
+  if (!hold) last_result_ = std::move(outcome.result);
+  // Warm = the cache did real work this period: either the steady-state
+  // memo hit (warm_started) or at least one group's simplex reused the
+  // previous period's basis. A group still cold-solves when its old basis
+  // is singular for the new coefficients, and a solve that warmed the bulk
+  // of the problem should not read as cold in the summary.
+  const bool warm = last_result_.warm_started || last_result_.warm_groups > 0;
+  std::uint64_t SolveTelemetry::*const arm =
+      hold ? &SolveTelemetry::hold
+      : outcome.rung == SolverRung::kFastHeuristic ? &SolveTelemetry::fast
+      : outcome.rung == SolverRung::kCapacitySplit ? &SolveTelemetry::split
+      : warm ? &SolveTelemetry::exact_warm
+             : &SolveTelemetry::exact_cold;
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - solve_t0)
+                             .count();
+  ++solve_telemetry_.solves;
+  solve_telemetry_.last_seconds = elapsed;
+  solve_telemetry_.max_seconds = std::max(solve_telemetry_.max_seconds, elapsed);
+  solve_telemetry_.total_seconds += elapsed;
+  ++(solve_telemetry_.*arm);
+  if (hold) return nullptr;
 
   // Record the capacity view this plan was solved against — the bi-level
   // coordinator converts the plan's station utilizations into busy-server
@@ -531,7 +471,8 @@ std::shared_ptr<const RoutingRuleSet> GlobalController::on_reports(
   // fits (docs/resilience.md). Runs before emission so rollout damping
   // steps toward the padded target.
   if (headroom_ != nullptr && last_result_.rules != nullptr) {
-    plan_contingency(solve_demand, live, plan_from_primary);
+    plan_contingency(solve_demand, live,
+                     outcome.rung != SolverRung::kCapacitySplit);
   }
 
   // 5. Emit rules: the raw target, or a damped rollout step toward it

@@ -20,7 +20,6 @@
 #include "cluster/deployment.h"
 #include "contingency/contingency.h"
 #include "contingency/headroom_planner.h"
-#include "core/fast_optimizer.h"
 #include "forecast/demand_forecaster.h"
 #include "core/model_fitter.h"
 #include "core/optimizer.h"
@@ -35,11 +34,6 @@ namespace slate {
 
 struct GlobalControllerOptions {
   OptimizerOptions optimizer;
-  // Use the marginal-cost descent heuristic instead of the exact LP
-  // (paper §5 scalability: ~100-1000x faster solves within a few percent of
-  // the LP's plan quality — see bench/ablation_fast_optimizer).
-  bool use_fast_optimizer = false;
-  FastOptimizerOptions fast_optimizer;
   FitterOptions fitter;
   // Seed the latency model from the application spec ("offline profile");
   // online fitting refines it. When false the model cold-starts from the
@@ -81,7 +75,8 @@ struct GlobalControllerOptions {
   double stale_demand_floor = 1e-3;
 
   // Control-plane hardening gates (telemetry admission, solver fallback
-  // ladder, guarded rollout). All off by default.
+  // ladder, guarded rollout). Admission and rollout are off by default; the
+  // solver ladder always runs, and arming it adds the fast and split rungs.
   GuardOptions guard;
 
   // Demand forecasting (docs/forecasting.md). kNone solves on the measured
@@ -103,7 +98,7 @@ struct GlobalControllerOptions {
 // Per-period solver wall time and arm-selection telemetry. Measurement only:
 // the values are reported (run results, CLI summary) but never feed back into
 // plan selection — host timing must not change behavior in reproducible runs
-// (budget enforcement lives in SolverGuard and is opt-in).
+// (the one exception is a SolverGuard wall budget, which is off unless set).
 struct SolveTelemetry {
   std::uint64_t solves = 0;        // control periods that attempted a solve
   double last_seconds = 0.0;       // wall time of the most recent solve
@@ -141,7 +136,7 @@ class GlobalController {
 
   // Injected solver outage (fault plan): while true, the model-driven
   // solver rungs are unavailable. With the solver guard armed the ladder
-  // descends to the capacity split; without it the controller holds.
+  // holds, then descends to the capacity split; disarmed it holds.
   void set_solver_chaos(bool down) noexcept { solver_chaos_ = down; }
 
   // Coordinated drain: the orchestrator marks `cluster` as shrinking to
@@ -196,6 +191,7 @@ class GlobalController {
   [[nodiscard]] const DemandForecaster* forecaster() const noexcept {
     return forecaster_.get();
   }
+  // The plan in force: the most recent solved plan (a hold leaves it).
   [[nodiscard]] const OptimizerResult& last_result() const noexcept {
     return last_result_;
   }
@@ -216,11 +212,14 @@ class GlobalController {
   }
 
   [[nodiscard]] std::uint64_t rounds() const noexcept { return rounds_; }
-  [[nodiscard]] std::uint64_t optimizations() const noexcept { return optimizations_; }
-  // Periods the controller held existing rules because every solver rung
-  // failed (or, unguarded, because the solver was down/failed).
+  // Periods that ran the solver ladder (any rung, hold included).
+  [[nodiscard]] std::uint64_t optimizations() const noexcept {
+    return solve_telemetry_.solves;
+  }
+  // Periods the controller held existing rules because the solver ladder
+  // settled on its hold rung.
   [[nodiscard]] std::uint64_t solver_holds() const noexcept {
-    return solver_holds_;
+    return solve_telemetry_.hold;
   }
   // Periods skipped by the resolve_tolerance gate (demand moved too little
   // to justify a re-solve).
@@ -259,8 +258,9 @@ class GlobalController {
   [[nodiscard]] const ReportValidator* validator() const noexcept {
     return validator_.get();
   }
-  [[nodiscard]] const SolverGuard* solver_guard() const noexcept {
-    return solver_guard_.get();
+  // The solver ladder always exists (disarmed it is primary -> hold).
+  [[nodiscard]] const SolverGuard& solver_guard() const noexcept {
+    return solver_guard_;
   }
   [[nodiscard]] const RuleRollout* rollout() const noexcept {
     return rollout_.get();
@@ -294,9 +294,9 @@ class GlobalController {
   [[nodiscard]] const FlatMatrix<double>& apply_drain_divert(
       const FlatMatrix<double>& demand);
   // N-1 headroom check + padded re-pricing of last_result_. `exact_plan` is
-  // true when the period's plan came from the primary or fast rung (fallback
-  // rungs are measured but never re-priced — they are already degraded
-  // mode).
+  // true when the period's plan came from a model-driven rung (primary or
+  // fast); the capacity split is measured but never re-priced — it is
+  // already degraded mode.
   void plan_contingency(const FlatMatrix<double>& solve_demand,
                         const std::vector<unsigned>* live, bool exact_plan);
 
@@ -308,7 +308,7 @@ class GlobalController {
   LatencyModel model_;
   ModelFitter fitter_;
   RouteOptimizer optimizer_;
-  FastRouteOptimizer fast_optimizer_;
+  SolverGuard solver_guard_;
   OptimizerCache optimizer_cache_;
   SolveTelemetry solve_telemetry_;
   SampleStore store_;
@@ -333,14 +333,11 @@ class GlobalController {
 
   // Guard stages (null when disabled).
   std::unique_ptr<ReportValidator> validator_;
-  std::unique_ptr<SolverGuard> solver_guard_;
   std::unique_ptr<RuleRollout> rollout_;
   bool solver_chaos_ = false;
   std::uint64_t epoch_seq_ = 0;
 
   std::uint64_t rounds_ = 0;
-  std::uint64_t optimizations_ = 0;
-  std::uint64_t solver_holds_ = 0;
   std::uint64_t resolve_skips_ = 0;
   std::uint64_t forecast_solves_ = 0;
 

@@ -7,8 +7,9 @@
 //     negative / implausible fields are replaced with last-good values, and
 //     per-(class, cluster) spikes beyond a rolling MAD bound are clamped
 //     instead of poisoning the demand matrix;
-//   * solver    — a fallback ladder around the optimizer: primary solver →
-//     fast heuristic → capacity-proportional split → hold last-known-good;
+//   * solver    — the fallback ladder around the optimizer always runs
+//     (primary solver → hold last-known-good); arming it adds the fast
+//     heuristic and capacity-proportional split rungs in between;
 //   * rollout   — versioned rule pushes with per-period weight-delta
 //     damping, a canary window with auto-rollback, and a flap detector
 //     that freezes updates while the weight vector oscillates.
@@ -52,14 +53,13 @@ struct AdmissionOptions {
 
 struct SolverGuardOptions {
   bool enabled = false;
-  // Wall-clock budget per solve, seconds; 0 = unlimited. Solve times are
-  // always measured and reported. Enforcement (descending the ladder when
-  // the primary overruns) is opt-in because it makes the chosen rung
-  // depend on host timing — reproducible runs keep it off and rely on
-  // status-based descent (infeasibility, iteration limits, injected
-  // outages), which is deterministic.
-  double wall_budget = 0.25;
-  bool enforce_budget = false;
+  // Wall-clock budget per solve, seconds; 0 = none. Solve times are always
+  // measured and reported. A set budget is enforced (the ladder descends
+  // when a rung overruns it), which makes the chosen rung depend on host
+  // timing — reproducible runs leave it at 0 and rely on status-based
+  // descent (infeasibility, iteration limits, injected outages), which is
+  // deterministic.
+  double wall_budget = 0.0;
   // Local-preference multiplier for the capacity-split rung: the origin
   // cluster's own capacity counts this many times before normalizing.
   double split_local_bias = 2.0;

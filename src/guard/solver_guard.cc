@@ -41,18 +41,17 @@ SolverGuard::SolverGuard(const Application& app, const Deployment& deployment,
     : app_(&app),
       deployment_(&deployment),
       topology_(&topology),
-      options_(options) {}
+      options_(options),
+      fast_(app, deployment, topology) {}
 
 bool SolverGuard::accept(const OptimizerResult& result,
                          double elapsed_seconds) const {
   if (!result.ok() || !rules_finite(result.rules.get())) return false;
-  return !(options_.enforce_budget && options_.wall_budget > 0.0 &&
-           elapsed_seconds > options_.wall_budget);
+  return !(options_.wall_budget > 0.0 && elapsed_seconds > options_.wall_budget);
 }
 
 SolverGuard::Outcome SolverGuard::solve(
-    const RouteOptimizer& primary, const FastRouteOptimizer& fast,
-    bool primary_is_fast, const LatencyModel& model,
+    const RouteOptimizer& primary, const LatencyModel& model,
     const FlatMatrix<double>& demand,
     const std::vector<unsigned>* live_servers, OptimizerCache* cache,
     bool solver_down, bool have_last_good) {
@@ -91,25 +90,24 @@ SolverGuard::Outcome SolverGuard::solve(
 
   OptimizerResult result;
   if (!solver_down) {
-    const bool ok =
-        primary_is_fast
-            ? timed([&] { return fast.optimize(model, demand, live_servers); },
-                    result)
-            : timed(
-                  [&] {
-                    return primary.optimize(model, demand, live_servers, cache);
-                  },
-                  result);
-    if (ok) {
+    if (timed(
+            [&] {
+              return primary.optimize(model, demand, live_servers, cache);
+            },
+            result)) {
       consecutive_degraded_ = 0;
       return settle(std::move(result), SolverRung::kPrimary);
     }
-    if (!primary_is_fast &&
-        timed([&] { return fast.optimize(model, demand, live_servers); },
+    if (options_.enabled &&
+        timed([&] { return fast_.optimize(model, demand, live_servers); },
               result)) {
       consecutive_degraded_ = 0;
       return settle(std::move(result), SolverRung::kFastHeuristic);
     }
+  }
+  // Disarmed: rungs 1-2 do not exist and hold is the only fallback.
+  if (!options_.enabled) {
+    return settle(OptimizerResult{}, SolverRung::kHoldLastGood);
   }
 
   ++consecutive_degraded_;

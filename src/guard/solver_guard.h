@@ -1,23 +1,27 @@
 // Solver fallback chain (docs/control_plane.md §solver).
 //
 // A control loop that returns nothing when its solver hiccups leaves the
-// fleet executing stale weights indefinitely. The guard wraps the
-// optimizers in a descending ladder of cheaper, more robust plans:
+// fleet executing stale weights indefinitely. The guard is the controller's
+// one solve path: it wraps the optimizers in a descending ladder of
+// cheaper, more robust plans:
 //
-//   rung 0  primary      the configured optimizer (exact LP/MILP or the
-//                        fast heuristic)
+//   rung 0  primary      the exact LP/MILP route optimizer
 //   rung 1  fast         the marginal-cost descent heuristic, also selected
-//                        when the exact solve blows an enforced wall budget
+//                        when the exact solve blows the wall budget
 //   rung 2  split        capacity-proportional weights with local bias,
 //                        computed directly from deployment + live servers
 //                        (a Waterfall-equivalent plan: demand-blind but
 //                        always feasible)
 //   rung 3  hold         no rules — the data plane keeps last-known-good
 //
+// The ladder always runs. Disarmed (SolverGuardOptions::enabled false) it
+// has rungs 0 and 3 only: a primary that fails settles on hold. Armed, the
+// `guard solver` directive adds rungs 1-2 and the hold-fresh streak.
+//
 // Descent is deterministic: a rung is skipped when its solver reports
 // infeasibility/failure or when an injected solver outage marks the
 // model-driven rungs (0-1) down. A wall-clock budget only forces descent
-// when opted in — host timing must not change the plan in reproducible
+// when one is set — host timing must not change the plan in reproducible
 // runs. Solve wall time is reported by the controller's SolveTelemetry
 // (the `solver_*_seconds` result rows), not here.
 #pragma once
@@ -51,20 +55,19 @@ class SolverGuard {
     SolverRung rung = SolverRung::kHoldLastGood;
   };
 
-  // Runs the ladder. `primary` / `fast` are the controller's optimizers
-  // (when `primary_is_fast`, rung 0 already is the heuristic and rung 1
-  // collapses into it). `cache`, if non-null, carries the primary
-  // optimizer's warm-start state across periods (rung 0 only). `solver_down`
-  // marks the model-driven rungs 0-1 unavailable (an injected outage /
-  // forced timeout). `have_last_good` says the caller
-  // holds an actuated plan: for the first `hold_fresh_periods` consecutive
+  // Runs the ladder. `primary` is the controller's exact optimizer; rung 1
+  // uses the guard's own descent heuristic. `cache`, if non-null, carries
+  // the primary optimizer's warm-start state across periods (rung 0 only).
+  // `solver_down` marks the model-driven rungs 0-1 unavailable (an injected
+  // outage / forced timeout). Armed, `have_last_good` says the caller holds
+  // an actuated plan: for the first `hold_fresh_periods` consecutive
   // degraded periods the ladder then settles on hold instead of the
   // demand-blind capacity split — a fresh solved plan beats a synthetic
   // one for a short outage, while a dragging outage still actuates the
-  // split (live capacity may have moved since the plan was cut). The
-  // returned result's rules are null only on the hold rung.
-  Outcome solve(const RouteOptimizer& primary, const FastRouteOptimizer& fast,
-                bool primary_is_fast, const LatencyModel& model,
+  // split (live capacity may have moved since the plan was cut). Disarmed,
+  // every degraded period settles on hold. The returned result's rules are
+  // null only on the hold rung.
+  Outcome solve(const RouteOptimizer& primary, const LatencyModel& model,
                 const FlatMatrix<double>& demand,
                 const std::vector<unsigned>* live_servers,
                 OptimizerCache* cache, bool solver_down, bool have_last_good);
@@ -83,8 +86,7 @@ class SolverGuard {
   [[nodiscard]] OptimizerResult capacity_split(
       const LatencyModel& model, const std::vector<unsigned>* live_servers) const;
 
-  // True when the result is usable (and, with enforcement on, within
-  // budget).
+  // True when the result is usable (and, with a budget set, within it).
   [[nodiscard]] bool accept(const OptimizerResult& result,
                             double elapsed_seconds) const;
 
@@ -92,6 +94,7 @@ class SolverGuard {
   const Deployment* deployment_;
   const Topology* topology_;
   SolverGuardOptions options_;
+  FastRouteOptimizer fast_;
 
   std::uint64_t rung_counts_[4] = {0, 0, 0, 0};
   // Consecutive periods the model-driven rungs (0-1) have been unusable.

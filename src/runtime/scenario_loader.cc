@@ -840,7 +840,6 @@ Scenario load_scenario(std::istream& input) {
         g.enabled = true;
         attrs(2, "guard solver",
               {{"budget", &g.wall_budget, kDuration},
-               {"enforce_budget", &g.enforce_budget, kOnOff},
                {"local_bias", &g.split_local_bias, kNumber, ge(1)}});
       } else if (sub == "rollout") {
         RolloutOptions& g = scenario.guard.rollout;

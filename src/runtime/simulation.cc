@@ -1555,9 +1555,7 @@ ExperimentResult Simulation::run() {
       result_.guard_spikes_clamped = v->spikes_clamped();
       result_.guard_interpolations = v->interpolations();
     }
-    if (const SolverGuard* sg = global_->solver_guard()) {
-      result_.solver_fallbacks = sg->fallbacks();
-    }
+    result_.solver_fallbacks = global_->solver_guard().fallbacks();
     if (const RuleRollout* ro = global_->rollout()) {
       result_.rollout_rollbacks = ro->rollbacks();
       result_.rollout_flap_freezes = ro->flap_freezes();

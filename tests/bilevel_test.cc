@@ -154,6 +154,29 @@ TEST(Bilevel, InertWithoutPrerequisites) {
   EXPECT_EQ(r2.bilevel_capacity_overrides, 0u);
 }
 
+// A solver hold keeps the last solved plan in force: the coordinator keeps
+// re-pushing its planned load through a mid-run outage of the armed ladder,
+// exactly as it does on periods that solve.
+TEST(Bilevel, SolverHoldKeepsPushingThePlanInForce) {
+  Scenario scenario = make_two_cluster_chain_scenario();
+  scenario.bilevel.enabled = true;
+  scenario.guard.solver.enabled = true;
+  RunConfig config;
+  config.policy = PolicyKind::kSlate;
+  config.duration = 30.0;
+  config.warmup = 5.0;
+  config.autoscaler_enabled = true;
+  const ExperimentResult steady = run_experiment(scenario, config);
+
+  Scenario outage(scenario);
+  outage.faults.solver_outage(12.0, 5.0);  // shorter than hold_fresh_periods
+  const ExperimentResult held = run_experiment(outage, config);
+  ASSERT_GT(held.solver_holds, 0u);
+  EXPECT_EQ(held.solver_arm_split, 0u);
+  EXPECT_GT(steady.bilevel_plans_pushed, 0u);
+  EXPECT_EQ(held.bilevel_plans_pushed, steady.bilevel_plans_pushed);
+}
+
 // --- The headline: co-design dominates open-loop ---------------------------
 
 constexpr double kSloSeconds = 0.100;

@@ -325,24 +325,6 @@ TEST(GlobalController, RolloutToleratesDropWithinTolerance) {
   EXPECT_FALSE(controller.rollout()->frozen());
 }
 
-TEST(GlobalController, FastOptimizerProducesRulesToo) {
-  const Scenario scenario = make_two_cluster_chain_scenario({});
-  GlobalControllerOptions options;
-  options.use_fast_optimizer = true;
-  options.guard.rollout.enabled = true;  // composes with guarded rollout
-  GlobalController controller(*scenario.app, *scenario.deployment,
-                              *scenario.topology, options);
-  const ServiceId svc = scenario.app->find_service("svc-1");
-  std::vector<ClusterReport> reports{
-      synthetic_report(ClusterId{0}, 0.0, 1.0, svc, 700.0, 2e-3, 0.9, 20e-3),
-      synthetic_report(ClusterId{1}, 0.0, 1.0, svc, 100.0, 2e-3, 0.2, 8e-3)};
-  const auto rules = controller.on_reports(reports, 1.0);
-  ASSERT_NE(rules, nullptr);
-  EXPECT_GT(rules->size(), 0u);
-  rules->validate();
-  EXPECT_TRUE(controller.last_result().ok());
-}
-
 TEST(GlobalController, LiveServersTrackedFromReports) {
   const Scenario scenario = make_two_cluster_chain_scenario({});
   GlobalController controller(*scenario.app, *scenario.deployment,

@@ -694,6 +694,7 @@ TEST_P(FuzzTest, GuardArmedChaosRunsSatisfyInvariantsAndDeterminism) {
   const ExperimentResult a = run_experiment(scenario, config);
   // Repeat first: the p99() checks below sort a.e2e in place.
   expect_same_result(a, run_experiment(scenario, config));
+  expect_conserved(a, /*admission_armed=*/false);
   EXPECT_LE(a.completed, a.generated);
   if (a.completed > 0) {
     EXPECT_TRUE(std::isfinite(a.p99()));
@@ -967,8 +968,8 @@ TEST_P(FuzzTest, AttributeDirectivesParseOrFailCleanly) {
         "min_trust"},
        {"max_rps=500", "window=8", "threshold=4", "trust_decay=0.5"}},
       {"guard solver",
-       {"budget", "enforce_budget", "local_bias"},
-       {"budget=50ms", "enforce_budget=on", "local_bias=1.5"}},
+       {"budget", "local_bias"},
+       {"budget=50ms", "local_bias=1.5"}},
       {"guard rollout",
        {"max_delta", "canary", "goodput_drop", "p99_rise", "min_samples",
         "flap_threshold", "flap_window", "freeze", "damping_floor"},

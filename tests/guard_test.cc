@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cluster/service_station.h"
@@ -18,6 +19,7 @@
 #include "net/gcp_topology.h"
 #include "runtime/scenarios.h"
 #include "runtime/simulation.h"
+#include "result_checks.h"
 
 namespace slate {
 namespace {
@@ -225,8 +227,7 @@ struct SolverFixture {
       : scenario(make_two_cluster_chain_scenario({})),
         model(LatencyModel::from_application(*scenario.app, 2)),
         demand(scenario.app->class_count(), 2, 0.0),
-        primary(*scenario.app, *scenario.deployment, *scenario.topology, {}),
-        fast(*scenario.app, *scenario.deployment, *scenario.topology, {}) {
+        primary(*scenario.app, *scenario.deployment, *scenario.topology, {}) {
     demand(0, 0) = 700.0;
     demand(0, 1) = 100.0;
   }
@@ -234,16 +235,15 @@ struct SolverFixture {
   LatencyModel model;
   FlatMatrix<double> demand;
   RouteOptimizer primary;
-  FastRouteOptimizer fast;
 };
 
 TEST(SolverGuard, HealthySolveSettlesOnPrimary) {
   SolverFixture f;
   SolverGuard guard(*f.scenario.app, *f.scenario.deployment,
                     *f.scenario.topology, SolverGuardOptions{});
-  const auto outcome = guard.solve(f.primary, f.fast, false, f.model, f.demand,
-                                   nullptr, nullptr, /*solver_down=*/false,
-                                   /*have_last_good=*/false);
+  const auto outcome =
+      guard.solve(f.primary, f.model, f.demand, nullptr, nullptr,
+                  /*solver_down=*/false, /*have_last_good=*/false);
   EXPECT_EQ(outcome.rung, SolverRung::kPrimary);
   ASSERT_TRUE(outcome.result.ok());
   outcome.result.rules->validate();
@@ -260,15 +260,15 @@ TEST(SolverGuard, OutageHoldsFreshPlanThenActuatesCapacitySplit) {
   // Periods 1-2 of the outage: a fresh plan exists, so the ladder holds it
   // rather than actuating a demand-blind split.
   for (int i = 0; i < 2; ++i) {
-    const auto held = guard.solve(f.primary, f.fast, false, f.model, f.demand,
-                                  nullptr, nullptr, /*solver_down=*/true,
-                                  /*have_last_good=*/true);
+    const auto held =
+        guard.solve(f.primary, f.model, f.demand, nullptr, nullptr,
+                    /*solver_down=*/true, /*have_last_good=*/true);
     EXPECT_EQ(held.rung, SolverRung::kHoldLastGood);
     EXPECT_EQ(held.result.rules, nullptr);
   }
   // Period 3: the outage drags; the split actuates.
-  const auto split = guard.solve(f.primary, f.fast, false, f.model, f.demand,
-                                 nullptr, nullptr, true, true);
+  const auto split =
+      guard.solve(f.primary, f.model, f.demand, nullptr, nullptr, true, true);
   EXPECT_EQ(split.rung, SolverRung::kCapacitySplit);
   ASSERT_TRUE(split.result.ok());
   split.result.rules->validate();
@@ -278,46 +278,69 @@ TEST(SolverGuard, OutageHoldsFreshPlanThenActuatesCapacitySplit) {
 TEST(SolverGuard, OutageWithNoPlanSplitsImmediately) {
   SolverFixture f;
   SolverGuardOptions o;
+  o.enabled = true;
   o.hold_fresh_periods = 10;
   SolverGuard guard(*f.scenario.app, *f.scenario.deployment,
                     *f.scenario.topology, o);
   // Nothing to hold: the split is the only serviceable rung.
-  const auto outcome = guard.solve(f.primary, f.fast, false, f.model, f.demand,
-                                   nullptr, nullptr, /*solver_down=*/true,
-                                   /*have_last_good=*/false);
+  const auto outcome =
+      guard.solve(f.primary, f.model, f.demand, nullptr, nullptr,
+                  /*solver_down=*/true, /*have_last_good=*/false);
   EXPECT_EQ(outcome.rung, SolverRung::kCapacitySplit);
   ASSERT_NE(outcome.result.rules, nullptr);
+}
+
+TEST(SolverGuard, DisarmedLadderHoldsEvenWithNoPlan) {
+  SolverFixture f;
+  SolverGuardOptions o;  // disarmed: rungs 0 and 3 only
+  o.hold_fresh_periods = 0;
+  SolverGuard down(*f.scenario.app, *f.scenario.deployment,
+                   *f.scenario.topology, o);
+  o.wall_budget = 1e-12;  // no solve fits: the primary fails
+  SolverGuard failing(*f.scenario.app, *f.scenario.deployment,
+                      *f.scenario.topology, o);
+  // Downed or failing, the primary settles on hold — never fast or split —
+  // with no last-good plan and a hold-fresh streak of 0.
+  const std::pair<SolverGuard*, bool> cases[] = {{&down, true},
+                                                 {&failing, false}};
+  for (const auto& [guard, solver_down] : cases) {
+    const auto outcome = guard->solve(f.primary, f.model, f.demand, nullptr,
+                                      nullptr, solver_down, false);
+    EXPECT_EQ(outcome.rung, SolverRung::kHoldLastGood);
+    EXPECT_EQ(outcome.result.rules, nullptr);
+    EXPECT_EQ(guard->fallbacks(), 1u);
+  }
 }
 
 TEST(SolverGuard, PrimaryRecoveryResetsTheDegradedStreak) {
   SolverFixture f;
   SolverGuardOptions o;
+  o.enabled = true;
   o.hold_fresh_periods = 2;
   SolverGuard guard(*f.scenario.app, *f.scenario.deployment,
                     *f.scenario.topology, o);
-  guard.solve(f.primary, f.fast, false, f.model, f.demand,
-              nullptr, nullptr, true, true);
-  guard.solve(f.primary, f.fast, false, f.model, f.demand,
-              nullptr, nullptr, true, true);
+  guard.solve(f.primary, f.model, f.demand, nullptr, nullptr, true, true);
+  guard.solve(f.primary, f.model, f.demand, nullptr, nullptr, true, true);
   // Recovery: one healthy solve...
-  const auto healthy = guard.solve(f.primary, f.fast, false, f.model, f.demand,
-                                   nullptr, nullptr, false, true);
+  const auto healthy =
+      guard.solve(f.primary, f.model, f.demand, nullptr, nullptr, false, true);
   EXPECT_EQ(healthy.rung, SolverRung::kPrimary);
   // ...re-arms the hold-fresh preference for the next outage.
-  const auto held = guard.solve(f.primary, f.fast, false, f.model, f.demand,
-                                nullptr, nullptr, true, true);
+  const auto held =
+      guard.solve(f.primary, f.model, f.demand, nullptr, nullptr, true, true);
   EXPECT_EQ(held.rung, SolverRung::kHoldLastGood);
 }
 
 TEST(SolverGuard, CapacitySplitFavorsLocalAndCoversCandidates) {
   SolverFixture f;
   SolverGuardOptions o;
+  o.enabled = true;
   o.split_local_bias = 2.0;
   o.hold_fresh_periods = 0;
   SolverGuard guard(*f.scenario.app, *f.scenario.deployment,
                     *f.scenario.topology, o);
-  const auto outcome = guard.solve(f.primary, f.fast, false, f.model, f.demand,
-                                   nullptr, nullptr, true, false);
+  const auto outcome =
+      guard.solve(f.primary, f.model, f.demand, nullptr, nullptr, true, false);
   ASSERT_EQ(outcome.rung, SolverRung::kCapacitySplit);
   const RoutingRuleSet& rules = *outcome.result.rules;
   EXPECT_GT(rules.size(), 0u);
@@ -542,9 +565,14 @@ TEST(GuardGauntlet, GuardedRidesOutChaosThatCollapsesUnguarded) {
   EXPECT_GT(guarded.guard_spikes_clamped, 50u);
   EXPECT_GE(guarded.solver_fallbacks, 5u);   // the 10s outage rode the ladder
   EXPECT_EQ(unguarded.guard_spikes_clamped, 0u);
-  EXPECT_EQ(unguarded.solver_fallbacks, 0u);
-  // Unguarded still records the outage periods as holds (frozen rules).
+  // The disarmed ladder never leaves the exact rung except to hold: its
+  // fallbacks are exactly its holds, and it records the outage periods as
+  // holds (frozen rules).
+  EXPECT_EQ(unguarded.solver_arm_fast + unguarded.solver_arm_split, 0u);
+  EXPECT_EQ(unguarded.solver_fallbacks, unguarded.solver_holds);
   EXPECT_GE(unguarded.solver_holds, 5u);
+  expect_conserved(unguarded, /*admission_armed=*/false);
+  expect_conserved(guarded, /*admission_armed=*/false);
 }
 
 }  // namespace

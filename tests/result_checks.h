@@ -47,12 +47,19 @@ inline void expect_same_result(const ExperimentResult& a,
 }
 
 // The station law (every admitted job is served, cancelled, evicted or still
-// in flight at run end) and, when front-door admission is armed, the door
-// law (every arrival is admitted or rejected exactly once).
+// in flight at run end), the solver law (every solve attempt lands on
+// exactly one rung, and every hold is a hold-rung settle) and, when
+// front-door admission is armed, the door law (every arrival is admitted or
+// rejected exactly once).
 inline void expect_conserved(const ExperimentResult& r, bool admission_armed) {
   EXPECT_EQ(r.jobs_submitted, r.jobs_served + r.jobs_cancelled +
                                   r.jobs_evicted + r.jobs_in_flight_at_end)
       << "station conservation";
+  EXPECT_EQ(r.solver_solves, r.solver_exact_cold + r.solver_exact_warm +
+                                 r.solver_arm_fast + r.solver_arm_split +
+                                 r.solver_arm_hold)
+      << "solver conservation";
+  EXPECT_EQ(r.solver_arm_hold, r.solver_holds) << "solver holds";
   if (admission_armed) {
     EXPECT_EQ(r.generated, r.admission_admitted + r.admission_rejected)
         << "door conservation";

@@ -419,7 +419,7 @@ TEST(ScenarioLoader, ParsesGuardDirectives) {
   const Scenario s = load_scenario_from_string(
       std::string(kFaultBase) +
       "guard admission threshold=6 window=32 min_history=4 trust_decay=0.5\n"
-      "guard solver budget=100ms enforce_budget=on local_bias=3\n"
+      "guard solver budget=100ms local_bias=3\n"
       "guard rollout max_delta=0.2 canary=3 goodput_drop=0.3 freeze=5\n");
   EXPECT_TRUE(s.guard.admission.enabled);
   EXPECT_DOUBLE_EQ(s.guard.admission.mad_threshold, 6.0);
@@ -428,7 +428,6 @@ TEST(ScenarioLoader, ParsesGuardDirectives) {
   EXPECT_DOUBLE_EQ(s.guard.admission.trust_decay, 0.5);
   EXPECT_TRUE(s.guard.solver.enabled);
   EXPECT_DOUBLE_EQ(s.guard.solver.wall_budget, 0.1);
-  EXPECT_TRUE(s.guard.solver.enforce_budget);
   EXPECT_DOUBLE_EQ(s.guard.solver.split_local_bias, 3.0);
   EXPECT_TRUE(s.guard.rollout.enabled);
   EXPECT_DOUBLE_EQ(s.guard.rollout.max_weight_delta, 0.2);

@@ -2,8 +2,8 @@
 // synthesized world, the solve fits the control period — warm starts beat
 // cold solves by the pinned factor at steady state, the descent heuristic
 // stays within its optimality-gap bound, and the solver guard demonstrably
-// falls back to the descent arm (and recovers) when the exact solve blows an
-// enforced wall budget.
+// falls back to the descent arm (and recovers) when the exact solve blows a
+// wall budget.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -142,14 +142,13 @@ TEST_F(SolverScaleTest, GuardFallsBackToFastOnBudgetOverrunAndRecovers) {
 
   SolverGuardOptions options;
   options.enabled = true;
-  options.enforce_budget = true;
   options.wall_budget = std::sqrt(fast_seconds * exact_seconds);
   SolverGuard guard(*scenario_->app, *scenario_->deployment,
                     *scenario_->topology, options);
   OptimizerCache cache;
 
   const SolverGuard::Outcome degraded = guard.solve(
-      exact, fast, false, *model_, *demand_, nullptr, &cache, false, false);
+      exact, *model_, *demand_, nullptr, &cache, false, false);
   EXPECT_EQ(degraded.rung, SolverRung::kFastHeuristic)
       << "settled on " << to_string(degraded.rung) << " (budget "
       << options.wall_budget * 1e3 << " ms)";
@@ -161,7 +160,7 @@ TEST_F(SolverScaleTest, GuardFallsBackToFastOnBudgetOverrunAndRecovers) {
   // next period's identical demand memo-hits in microseconds and the ladder
   // settles back on the primary rung.
   const SolverGuard::Outcome recovered = guard.solve(
-      exact, fast, false, *model_, *demand_, nullptr, &cache, false, true);
+      exact, *model_, *demand_, nullptr, &cache, false, true);
   EXPECT_EQ(recovered.rung, SolverRung::kPrimary)
       << "settled on " << to_string(recovered.rung);
   ASSERT_TRUE(recovered.result.ok());
