@@ -321,8 +321,8 @@ OptimizerResult FastRouteOptimizer::optimize(
       const double u = d.utilization[s * C + c];
       if (d.servers[s * C + c] <= 0.0) continue;
       result.station_plans.push_back(
-          StationPlan{ServiceId{s}, ClusterId{c}, u, std::max(0.0, u - 1.0)});
-      if (u > options_.max_utilization + 1e-9) result.overloaded = true;
+          StationPlan{ServiceId{s}, ClusterId{c}, u,
+                      std::max(0.0, u - options_.max_utilization)});
       latency += d.servers[s * C + c] * (u + queue_cost(std::min(u, 0.999)));
     }
   }

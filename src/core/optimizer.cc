@@ -1,5 +1,6 @@
 #include "core/optimizer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
@@ -379,7 +380,6 @@ LpStatus solve_group(const SolveContext& ctx, const ClassGroup& group,
       const double o = solution.values[vars.o[s * C + c]];
       plan_u[s * C + c] = u + o;
       plan_o[s * C + c] = o;
-      if (o > 1e-6) result.overloaded = true;
       latency_per_sec += n_servers * (u + o);
       latency_per_sec += n_servers * queue_cost(std::min(u + o, 0.999));
       if (options.server_cost_weight > 0.0) {
@@ -415,6 +415,22 @@ LpStatus solve_group(const SolveContext& ctx, const ClassGroup& group,
 }
 
 }  // namespace
+
+std::size_t OptimizerResult::overflowed_stations() const noexcept {
+  std::size_t n = 0;
+  for (const StationPlan& sp : station_plans) {
+    if (sp.overflow > 1e-6) ++n;
+  }
+  return n;
+}
+
+double OptimizerResult::peak_utilization() const noexcept {
+  double peak = 0.0;
+  for (const StationPlan& sp : station_plans) {
+    peak = std::max(peak, sp.utilization);
+  }
+  return peak;
+}
 
 RouteOptimizer::RouteOptimizer(const Application& app,
                                const Deployment& deployment,

@@ -74,6 +74,8 @@ struct OptimizerOptions {
   MilpOptions milp;
 };
 
+// Planned load of one station: `utilization` includes `overflow`, the part
+// planned above the utilization cap (OptimizerOptions::max_utilization).
 struct StationPlan {
   ServiceId service;
   ClusterId cluster;
@@ -91,9 +93,12 @@ struct OptimizerResult {
   // Server-hours the plan implies, in $/s (0 unless server pricing armed).
   double predicted_server_dollars_per_sec = 0.0;
   double objective = 0.0;                     // LP objective value
-  bool overloaded = false;                    // any station overflowed
 
   std::vector<StationPlan> station_plans;
+  // Plan audit over station_plans: stations planned above the cap (overflow
+  // > 1e-6, the LP's numerical noise), and the highest planned utilization.
+  [[nodiscard]] std::size_t overflowed_stations() const noexcept;
+  [[nodiscard]] double peak_utilization() const noexcept;
   int variables = 0;
   int constraints = 0;
   SimplexStats simplex_stats;  // summed across class groups

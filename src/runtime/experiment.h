@@ -314,6 +314,14 @@ using CounterType = std::conditional_t<
   X(F64, solver_last_seconds, 0.0, "s", kLast, kWallClock, solver)             \
   X(F64, solver_max_seconds, 0.0, "s", kMax, kWallClock, solver)               \
   X(F64, solver_total_seconds, 0.0, "s", kSum, kWallClock, solver)             \
+  /* Plan audit of the plan in force at each control period: stations        \
+     planned above the utilization cap (OptimizerResult::                      \
+     overflowed_stations, summed over periods) and the peak planned            \
+     utilization. Overflow means the plan itself cannot serve its demand. */   \
+  X(U64, plan_overflow_station_periods, 0, "station-periods", kSum,            \
+    kDeterministic, plan)                                                      \
+  X(F64, plan_peak_utilization, 0.0, "utilization", kMax, kDeterministic,      \
+    plan)                                                                      \
   /* Rule rollout: canary rollbacks, flap-detector freezes, pushes clipped by  \
      the delta cap, epoch-stale pushes discarded. */                           \
   X(U64, rollout_rollbacks, 0, "pushes", kSum, kDeterministic, rollout)        \

@@ -28,11 +28,11 @@ class Simulation::WaterfallLoadView final : public LoadView {
   explicit WaterfallLoadView(const Simulation& owner) : owner_(owner) {}
 
   [[nodiscard]] double load_rps(ServiceId s, ClusterId c) const override {
-    if (owner_.island_count_ > 1) {
-      return owner_.waterfall_snapshot_(s.index(), c.index());
-    }
+    const std::uint32_t slot = owner_.load_slot(s, c);
+    if (slot == kNilSlot) return 0.0;
+    if (owner_.island_count_ > 1) return owner_.waterfall_snapshot_[slot];
     const ExecCtx& cx = *owner_.ctxs_.front();
-    return cx.load_meters[owner_.station_index(s, c)].rate(cx.sim->now());
+    return cx.load_meters[slot].rate(cx.sim->now());
   }
 
  private:
@@ -160,13 +160,58 @@ Simulation::Simulation(const Scenario& scenario, const RunConfig& config)
         engine_->global(), scenario_.faults, cluster_count_, S);
   }
 
-  // Per-cluster telemetry and rule executors.
+  // Per-cluster telemetry (cells for the services the cluster hosts), rule
+  // executors, and Waterfall load slots: one per deployed station, so the
+  // meters and the barrier snapshot are sized to those, not S x C.
+  std::uint32_t load_slots = 0;
+  load_slot_.assign(S * cluster_count_, kNilSlot);
   registries_.reserve(cluster_count_);
   rule_policies_.reserve(cluster_count_);
   for (std::size_t c = 0; c < cluster_count_; ++c) {
-    registries_.push_back(std::make_unique<MetricsRegistry>(S, K));
+    std::vector<ServiceId> hosted;
+    hosted.reserve(S);
+    for (std::size_t s = 0; s < S; ++s) {
+      const ServiceId svc{s};
+      if (!scenario_.deployment->is_deployed(svc, ClusterId{c})) continue;
+      hosted.push_back(svc);
+      load_slot_[station_index(svc, ClusterId{c})] = load_slots++;
+    }
+    registries_.push_back(
+        std::make_unique<MetricsRegistry>(S, K, std::move(hosted)));
     rule_policies_.push_back(
         std::make_shared<WeightedRulesPolicy>(*scenario_.topology));
+  }
+
+  // Offered load per island: each demand stream's piecewise-constant
+  // schedule walked for its peak rate. It sizes the event queues (the
+  // implied in-flight event population, a handful of events per request
+  // over a few tens of ms, instead of growing through every power of two
+  // during warmup) and each island's pool chunks (its share of 256 objects,
+  // so 30 lightly loaded islands do not each carve full-size chunks).
+  std::vector<double> island_peak_rps(island_count_, 0.0);
+  double peak_rps = 0.0;
+  {
+    const auto& streams = scenario_.demand.streams();
+    for (const auto& st : streams) {
+      double peak = 0.0;
+      double t = 0.0;
+      for (int hop = 0; hop < 1024 && t < config_.duration; ++hop) {
+        peak = std::max(peak, scenario_.demand.rate_at(st.cls, st.cluster, t));
+        const double boundary =
+            scenario_.demand.next_change_after(st.cls, st.cluster, t);
+        if (!std::isfinite(boundary) || boundary <= t) break;
+        t = boundary;
+      }
+      island_peak_rps[island_of(st.cluster)] += peak;
+      peak_rps += peak;
+    }
+    const double est =
+        peak_rps * 0.25 + static_cast<double>(streams.size()) + 64.0;
+    const std::size_t reserve = std::clamp(
+        static_cast<std::size_t>(est), std::size_t{1024}, std::size_t{1} << 20);
+    for (std::size_t i = 0; i < island_count_; ++i) {
+      engine_->lp(i).reserve_events(reserve / island_count_ + 64);
+    }
   }
 
   // Execution contexts. The fork order on the root stream is load-bearing:
@@ -175,8 +220,12 @@ Simulation::Simulation(const Scenario& scenario, const RunConfig& config)
   Rng routing_parent = rng_root_.fork(2);
   ctxs_.reserve(island_count_);
   for (std::size_t i = 0; i < island_count_; ++i) {
+    const double share = peak_rps > 0.0 ? island_peak_rps[i] / peak_rps : 1.0;
+    const std::size_t pool_chunk = std::clamp(
+        static_cast<std::size_t>(std::ceil(256.0 * share)), std::size_t{16},
+        std::size_t{256});
     auto cx = std::make_unique<ExecCtx>(*scenario_.topology,
-                                        config_.trace_capacity);
+                                        config_.trace_capacity, pool_chunk);
     cx->island = static_cast<std::uint32_t>(i);
     cx->sim = &engine_->lp(i);
     // Per-island routing stream: each island forks the same parent state
@@ -198,7 +247,7 @@ Simulation::Simulation(const Scenario& scenario, const RunConfig& config)
                                                           S, cluster_count_);
     }
     if (config_.policy == PolicyKind::kWaterfall) {
-      cx->load_meters.assign(S * cluster_count_, RateMeter(1.0));
+      cx->load_meters.assign(load_slots, RateMeter(1.0));
     }
     init_result_shape(cx->res);
     ctxs_.push_back(std::move(cx));
@@ -234,9 +283,7 @@ Simulation::Simulation(const Scenario& scenario, const RunConfig& config)
 
   if (config_.policy == PolicyKind::kWaterfall) {
     load_view_ = std::make_unique<WaterfallLoadView>(*this);
-    if (island_count_ > 1) {
-      waterfall_snapshot_ = FlatMatrix<double>(S, cluster_count_, 0.0);
-    }
+    if (island_count_ > 1) waterfall_snapshot_.assign(load_slots, 0.0);
   }
 
   // Candidate clusters per service (deployment is immutable during a run).
@@ -265,39 +312,18 @@ Simulation::Simulation(const Scenario& scenario, const RunConfig& config)
     for (auto& cx : ctxs_) cx->baseline = make_baseline(load_view_.get());
   }
 
-  // Result identity; the data-plane rows take their shape from the island
-  // merge at run end.
+  // Result identity and the shared flow matrices; the other data-plane
+  // rows take their shape from the island merge at run end.
   result_.scenario = scenario_.name;
   result_.policy = to_string(config_.policy);
   if (config_.timeseries_bucket > 0.0) {
     result_.series_bucket = config_.timeseries_bucket;
   }
-
-  // Pre-size the event queues: walk each demand stream's piecewise-constant
-  // schedule for its peak rate and size for the implied in-flight event
-  // population (a handful of events per request over a few tens of ms),
-  // instead of growing through every power of two during warmup.
-  {
-    const auto& streams = scenario_.demand.streams();
-    double peak_rps = 0.0;
-    for (const auto& st : streams) {
-      double peak = 0.0;
-      double t = 0.0;
-      for (int hop = 0; hop < 1024 && t < config_.duration; ++hop) {
-        peak = std::max(peak, scenario_.demand.rate_at(st.cls, st.cluster, t));
-        const double boundary =
-            scenario_.demand.next_change_after(st.cls, st.cluster, t);
-        if (!std::isfinite(boundary) || boundary <= t) break;
-        t = boundary;
-      }
-      peak_rps += peak;
-    }
-    const double est = peak_rps * 0.25 + static_cast<double>(streams.size()) + 64.0;
-    const std::size_t reserve = std::clamp(
-        static_cast<std::size_t>(est), std::size_t{1024}, std::size_t{1} << 20);
-    for (std::size_t i = 0; i < island_count_; ++i) {
-      engine_->lp(i).reserve_events(reserve / island_count_ + 64);
-    }
+  result_.flows.resize(K);
+  for (std::size_t k = 0; k < K; ++k) {
+    const std::size_t nodes = app.traffic_class(ClassId{k}).graph.node_count();
+    result_.flows[k].assign(
+        nodes, FlatMatrix<std::uint64_t>(cluster_count_, cluster_count_, 0));
   }
 }
 
@@ -396,12 +422,6 @@ void Simulation::init_result_shape(ExperimentResult& r) const {
     (r.*member).assign(row.kind == CounterKind::kPerClass ? K : buckets, 0);
   }
   r.e2e_by_class.resize(K);
-  r.flows.resize(K);
-  for (std::size_t k = 0; k < K; ++k) {
-    const std::size_t nodes = app.traffic_class(ClassId{k}).graph.node_count();
-    r.flows[k].assign(
-        nodes, FlatMatrix<std::uint64_t>(cluster_count_, cluster_count_, 0));
-  }
 }
 
 double Simulation::net_delay(ExecCtx& cx, ClusterId from, ClusterId to) {
@@ -414,9 +434,11 @@ double Simulation::net_delay(ExecCtx& cx, ClusterId from, ClusterId to) {
 }
 
 void Simulation::observe_load(ExecCtx& cx, ServiceId s, ClusterId c) {
-  if (!cx.load_meters.empty()) {
-    cx.load_meters[station_index(s, c)].observe(cx.sim->now());
-  }
+  if (cx.load_meters.empty()) return;
+  const std::uint32_t slot = load_slot(s, c);
+  RateMeter& meter = cx.load_meters[slot];
+  if (!meter.observed()) cx.observed.push_back(slot);
+  meter.observe(cx.sim->now());
 }
 
 void Simulation::finish_request_tail(ExecCtx& cx, ClassId cls,
@@ -547,7 +569,7 @@ void Simulation::on_arrival(ClassId cls, ClusterId cluster) {
   }
 
   if (measuring_) {
-    cx.res.flows[cls.index()][0](cluster.index(), entry_cluster.index())++;
+    result_.flows[cls.index()][0](cluster.index(), entry_cluster.index())++;
   }
   observe_load(cx, entry, entry_cluster);
 
@@ -987,7 +1009,7 @@ void Simulation::start_attempt(const PoolPtr<AttemptState>& as) {
   as->to = to;
 
   if (measuring_) {
-    cx.res.flows[as->req->cls.index()][as->node](from.index(), to.index())++;
+    result_.flows[as->req->cls.index()][as->node](from.index(), to.index())++;
   }
   observe_load(cx, child_svc, to);
   cx.egress.record(from, to, cnode.request_bytes);
@@ -1251,6 +1273,11 @@ void Simulation::control_tick() {
     ++result_.rule_delta_count;
   }
 
+  const OptimizerResult& plan = global_->last_result();
+  result_.plan_overflow_station_periods += plan.overflowed_stations();
+  result_.plan_peak_utilization =
+      std::max(result_.plan_peak_utilization, plan.peak_utilization());
+
   if (config_.record_demand_trace) {
     const FlatMatrix<double>& estimated = global_->demand();
     // Forecast column: the live next-period prediction when a forecaster
@@ -1307,16 +1334,16 @@ void Simulation::begin_measurement() {
 }
 
 void Simulation::refresh_waterfall_snapshot() {
-  // At a window barrier every island's clock sits at the window end.
+  // At a window barrier every island's clock sits at the window end. Bit-
+  // identical to summing every island's meter for every slot: a meter an
+  // island never observed reads exactly +0.0, adding +0.0 to a sum of
+  // non-negative rates leaves it unchanged, and each slot still receives
+  // its nonzero terms in island order.
   const double now = engine_->lp(0).now();
-  const std::size_t S = waterfall_snapshot_.rows();
-  for (std::size_t s = 0; s < S; ++s) {
-    for (std::size_t c = 0; c < cluster_count_; ++c) {
-      double sum = 0.0;
-      for (const auto& cx : ctxs_) {
-        sum += cx->load_meters[s * cluster_count_ + c].rate(now);
-      }
-      waterfall_snapshot_(s, c) = sum;
+  std::fill(waterfall_snapshot_.begin(), waterfall_snapshot_.end(), 0.0);
+  for (const auto& cx : ctxs_) {
+    for (const std::uint32_t slot : cx->observed) {
+      waterfall_snapshot_[slot] += cx->load_meters[slot].rate(now);
     }
   }
 }
@@ -1341,13 +1368,6 @@ void add_into(SampleSet& into, SampleSet& from) {
 }
 
 template <class T>
-void add_into(FlatMatrix<T>& into, FlatMatrix<T>& from) {
-  for (std::size_t i = 0; i < into.rows(); ++i) {
-    for (std::size_t j = 0; j < into.cols(); ++j) into(i, j) += from(i, j);
-  }
-}
-
-template <class T>
 void add_into(std::vector<T>& into, std::vector<T>& from) {
   if (into.empty()) {
     into = std::move(from);
@@ -1361,7 +1381,7 @@ void add_into(std::vector<T>& into, std::vector<T>& from) {
 // Folds each island's partial result into result_ and its trace ring into
 // traces_. Islands write only data-plane rows (all kSum); the kMax and
 // kLast rows are set from global state after this merge, so they are
-// skipped here.
+// skipped here. Flows need no merge: islands write result_.flows directly.
 void Simulation::merge_results() {
   traces_ = std::move(ctxs_.front()->traces);
   for (const auto& cp : ctxs_) {
@@ -1373,7 +1393,6 @@ void Simulation::merge_results() {
     }
     add_into(result_.e2e, r.e2e);
     add_into(result_.e2e_by_class, r.e2e_by_class);
-    add_into(result_.flows, r.flows);
     if (cp != ctxs_.front()) {
       cp->traces.for_each([this](const Span& s) { traces_.record(s); });
     }

@@ -215,10 +215,20 @@ class Simulation {
   // islands never contend: object pools, the routing RNG stream, result
   // accumulators, egress/trace/breaker telemetry, Waterfall load meters,
   // the retry-token budget, and id counters (island-tagged so merged
-  // traces stay unique).
+  // traces stay unique). The one exception is result_.flows, whose caller
+  // rows each island writes directly: a row belongs to the calling
+  // cluster, hence to exactly one island.
   struct ExecCtx {
-    ExecCtx(const Topology& topo, std::size_t trace_capacity)
-        : egress(topo), traces(trace_capacity) {}
+    // `pool_chunk` objects are carved per pool allocation.
+    ExecCtx(const Topology& topo, std::size_t trace_capacity,
+            std::size_t pool_chunk)
+        : request_pool(pool_chunk),
+          node_pool(pool_chunk),
+          chain_pool(pool_chunk),
+          fanout_pool(pool_chunk),
+          attempt_pool(pool_chunk),
+          egress(topo),
+          traces(trace_capacity) {}
 
     std::uint32_t island = 0;
     Simulator* sim = nullptr;
@@ -237,8 +247,11 @@ class Simulation {
     std::unique_ptr<CircuitBreakerBank> breakers;  // null unless breaking
     std::unique_ptr<RoutingPolicy> baseline;       // null under SLATE
     ExperimentResult res;  // data-plane rows, merged into result_ at run end
-    // Waterfall arrival-rate observations (empty under other policies).
+    // Waterfall arrival-rate observations, one per load slot (empty under
+    // other policies), and the slots this island has observed, in first-
+    // observation order: the only meters whose rate can be nonzero.
     std::vector<RateMeter> load_meters;
+    std::vector<std::uint32_t> observed;
 
     double retry_tokens = 0.0;  // token-bucket retry budget
     std::uint64_t next_request = 0;
@@ -324,6 +337,10 @@ class Simulation {
                            bool ok, double e2e, bool admitted);
   // Arrival-rate observation for Waterfall, into the context's meters.
   void observe_load(ExecCtx& cx, ServiceId s, ClusterId c);
+  // Waterfall load slot of a deployed station (kNilSlot where not deployed).
+  [[nodiscard]] std::uint32_t load_slot(ServiceId s, ClusterId c) const {
+    return load_slot_[station_index(s, c)];
+  }
 
   void control_tick();
   // Propagates a drain keep-fraction change to the data plane (ingress
@@ -351,7 +368,7 @@ class Simulation {
   // to worker count).
   void merge_results();
   // Barrier hook with several islands: per-island Waterfall meters ->
-  // shared load snapshot.
+  // shared load snapshot. Touches only the meters islands have observed.
   void refresh_waterfall_snapshot();
 
   const Scenario& scenario_;
@@ -414,10 +431,13 @@ class Simulation {
 
   // Waterfall's load signal (null under other policies): live meters with
   // one island; with several, a snapshot the per-island meters sum into at
-  // every window barrier (at most one window stale).
+  // every window barrier (at most one window stale). Meters and snapshot
+  // are indexed by load slot: one per deployed station, mapped from the
+  // station index by load_slot_.
   class WaterfallLoadView;
   std::unique_ptr<WaterfallLoadView> load_view_;
-  FlatMatrix<double> waterfall_snapshot_;
+  std::vector<std::uint32_t> load_slot_;
+  std::vector<double> waterfall_snapshot_;
 
   TraceCollector traces_;  // merged from the islands at run end
   // One driver per island, each owning its island's demand streams.

@@ -30,120 +30,139 @@ double RateMeter::rate(double now) const noexcept {
 }
 
 MetricsRegistry::MetricsRegistry(std::size_t service_count,
-                                 std::size_t class_count, double rate_tau)
+                                 std::size_t class_count,
+                                 std::optional<std::vector<ServiceId>> hosted,
+                                 double rate_tau)
     : services_(service_count),
       classes_(class_count),
-      started_(service_count * class_count, 0),
-      completed_(service_count * class_count, 0),
-      latency_(service_count * class_count),
-      service_time_(service_count * class_count),
-      service_rates_(service_count, RateMeter(rate_tau)),
-      inflight_(service_count, 0),
+      row_of_(service_count, kNotHosted),
       ingress_rates_(class_count, RateMeter(rate_tau)),
       ingress_counts_(class_count, 0),
       ingress_rejected_(class_count, 0),
       e2e_(class_count),
-      e2e_samples_(class_count) {}
-
-std::size_t MetricsRegistry::key(ServiceId s, ClassId k) const {
-  if (!s.valid() || s.index() >= services_ || !k.valid() || k.index() >= classes_) {
-    throw std::out_of_range("MetricsRegistry: bad service/class id");
+      e2e_samples_(class_count) {
+  if (!hosted) {
+    hosted.emplace();
+    for (std::size_t s = 0; s < service_count; ++s) {
+      hosted->push_back(ServiceId{s});
+    }
   }
-  return s.index() * classes_ + k.index();
+  std::uint32_t rows = 0;
+  for (const ServiceId s : *hosted) {
+    if (!s.valid() || s.index() >= services_ ||
+        row_of_[s.index()] != kNotHosted) {
+      throw std::invalid_argument("MetricsRegistry: bad hosted service list");
+    }
+    row_of_[s.index()] = rows++;
+  }
+  started_.assign(rows * class_count, 0);
+  completed_.assign(rows * class_count, 0);
+  latency_.resize(rows * class_count);
+  service_time_.resize(rows * class_count);
+  service_rates_.assign(rows, RateMeter(rate_tau));
+  inflight_.assign(rows, 0);
+}
+
+std::uint32_t MetricsRegistry::row(ServiceId s) const {
+  if (!s.valid() || s.index() >= services_) {
+    throw std::out_of_range("MetricsRegistry: bad service id");
+  }
+  return row_of_[s.index()];
+}
+
+void MetricsRegistry::check_class(ClassId k) const {
+  if (!k.valid() || k.index() >= classes_) {
+    throw std::out_of_range("MetricsRegistry: bad class id");
+  }
+}
+
+std::uint32_t MetricsRegistry::hosted_row(ServiceId s) const {
+  const std::uint32_t r = row(s);
+  if (r == kNotHosted) {
+    throw std::out_of_range("MetricsRegistry: service not hosted here");
+  }
+  return r;
 }
 
 void MetricsRegistry::record_start(ServiceId service, ClassId cls, double now) {
-  ++started_[key(service, cls)];
-  ++inflight_[service.index()];
-  service_rates_[service.index()].observe(now);
+  const std::uint32_t r = hosted_row(service);
+  check_class(cls);
+  ++started_[r * classes_ + cls.index()];
+  ++inflight_[r];
+  service_rates_[r].observe(now);
 }
 
 void MetricsRegistry::record_end(ServiceId service, ClassId cls,
                                  double latency_seconds,
                                  double service_seconds) {
-  const std::size_t i = key(service, cls);
+  const std::uint32_t r = hosted_row(service);
+  check_class(cls);
+  const std::size_t i = r * classes_ + cls.index();
   ++completed_[i];
   latency_[i].add(latency_seconds);
   service_time_[i].add(service_seconds);
-  if (inflight_[service.index()] > 0) --inflight_[service.index()];
+  if (inflight_[r] > 0) --inflight_[r];
 }
 
 void MetricsRegistry::record_ingress(ClassId cls, double now) {
-  if (!cls.valid() || cls.index() >= classes_) {
-    throw std::out_of_range("MetricsRegistry: bad class id");
-  }
+  check_class(cls);
   ingress_rates_[cls.index()].observe(now);
   ++ingress_counts_[cls.index()];
 }
 
 void MetricsRegistry::record_ingress_rejected(ClassId cls) {
-  if (!cls.valid() || cls.index() >= classes_) {
-    throw std::out_of_range("MetricsRegistry: bad class id");
-  }
+  check_class(cls);
   ++ingress_rejected_[cls.index()];
 }
 
 std::uint64_t MetricsRegistry::ingress_rejected_count(ClassId cls) const {
-  if (!cls.valid() || cls.index() >= classes_) {
-    throw std::out_of_range("MetricsRegistry: bad class id");
-  }
+  check_class(cls);
   return ingress_rejected_[cls.index()];
 }
 
 void MetricsRegistry::record_e2e(ClassId cls, double latency_seconds) {
-  if (!cls.valid() || cls.index() >= classes_) {
-    throw std::out_of_range("MetricsRegistry: bad class id");
-  }
+  check_class(cls);
   e2e_[cls.index()].add(latency_seconds);
   e2e_samples_[cls.index()].add(latency_seconds);
 }
 
 double MetricsRegistry::e2e_quantile(ClassId cls, double q) const {
-  if (!cls.valid() || cls.index() >= classes_) {
-    throw std::out_of_range("MetricsRegistry: bad class id");
-  }
+  check_class(cls);
   return e2e_samples_[cls.index()].quantile(q);
 }
 
 const StreamingStats& MetricsRegistry::e2e(ClassId cls) const {
-  if (!cls.valid() || cls.index() >= classes_) {
-    throw std::out_of_range("MetricsRegistry: bad class id");
-  }
+  check_class(cls);
   return e2e_[cls.index()];
 }
 
 RequestStats MetricsRegistry::stats(ServiceId service, ClassId cls) const {
-  const std::size_t i = key(service, cls);
+  const std::uint32_t r = row(service);
+  check_class(cls);
+  if (r == kNotHosted) return RequestStats{};
+  const std::size_t i = r * classes_ + cls.index();
   return RequestStats{started_[i], completed_[i], latency_[i],
                       service_time_[i]};
 }
 
 double MetricsRegistry::service_rate(ServiceId service, double now) const {
-  if (!service.valid() || service.index() >= services_) {
-    throw std::out_of_range("MetricsRegistry: bad service id");
-  }
-  return service_rates_[service.index()].rate(now);
+  const std::uint32_t r = row(service);
+  return r == kNotHosted ? 0.0 : service_rates_[r].rate(now);
 }
 
 double MetricsRegistry::ingress_rate(ClassId cls, double now) const {
-  if (!cls.valid() || cls.index() >= classes_) {
-    throw std::out_of_range("MetricsRegistry: bad class id");
-  }
+  check_class(cls);
   return ingress_rates_[cls.index()].rate(now);
 }
 
 std::uint64_t MetricsRegistry::ingress_count(ClassId cls) const {
-  if (!cls.valid() || cls.index() >= classes_) {
-    throw std::out_of_range("MetricsRegistry: bad class id");
-  }
+  check_class(cls);
   return ingress_counts_[cls.index()];
 }
 
 std::size_t MetricsRegistry::inflight(ServiceId service) const {
-  if (!service.valid() || service.index() >= services_) {
-    throw std::out_of_range("MetricsRegistry: bad service id");
-  }
-  return inflight_[service.index()];
+  const std::uint32_t r = row(service);
+  return r == kNotHosted ? 0 : inflight_[r];
 }
 
 void MetricsRegistry::reset_period() {

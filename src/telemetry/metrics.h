@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "util/ids.h"
@@ -24,8 +25,10 @@ class RateMeter {
   explicit RateMeter(double tau = 1.0) : tau_(tau) {}
 
   void observe(double now) noexcept;
-  // Rate estimate at time `now` (decays if no recent events).
+  // Rate estimate at time `now` (decays if no recent events). Exactly 0.0
+  // until the first observe().
   [[nodiscard]] double rate(double now) const noexcept;
+  [[nodiscard]] bool observed() const noexcept { return last_ >= 0.0; }
 
  private:
   double tau_;
@@ -45,10 +48,15 @@ struct RequestStats {
   StreamingStats service;
 };
 
-// Registry for one cluster. Indexing is dense over (service, class).
+// Registry for one cluster. Cells exist only for the services the cluster
+// hosts, dense over (hosted service, class); a service hosted elsewhere
+// reads as empty stats and refuses recording.
 class MetricsRegistry {
  public:
+  // `hosted` lists the services with a station in this cluster; nullopt
+  // hosts every service.
   MetricsRegistry(std::size_t service_count, std::size_t class_count,
+                  std::optional<std::vector<ServiceId>> hosted = std::nullopt,
                   double rate_tau = 1.0);
 
   void record_start(ServiceId service, ClassId cls, double now);
@@ -73,7 +81,8 @@ class MetricsRegistry {
   [[nodiscard]] double e2e_quantile(ClassId cls, double q) const;
 
   // Period stats for one (service, class) cell, assembled from the SoA
-  // columns. Snapshot semantics: callers read it once per control period.
+  // columns (empty for a service not hosted here). Snapshot semantics:
+  // callers read it once per control period.
   [[nodiscard]] RequestStats stats(ServiceId service, ClassId cls) const;
   // Instantaneous per-service arrival rate (all classes), for Waterfall.
   [[nodiscard]] double service_rate(ServiceId service, double now) const;
@@ -89,19 +98,27 @@ class MetricsRegistry {
   void reset_period();
 
  private:
-  [[nodiscard]] std::size_t key(ServiceId s, ClassId k) const;
+  static constexpr std::uint32_t kNotHosted = 0xffffffffu;
+
+  // Hosted row of `s` (kNotHosted if not hosted); throws on an id outside
+  // the application.
+  [[nodiscard]] std::uint32_t row(ServiceId s) const;
+  // Row to record `s` into; throws unless `s` is hosted here.
+  [[nodiscard]] std::uint32_t hosted_row(ServiceId s) const;
+  void check_class(ClassId k) const;
 
   std::size_t services_;
   std::size_t classes_;
-  // Structure-of-arrays over (service x class): the data plane increments a
-  // bare counter per request start, so the hot column stays 8 bytes/cell
-  // instead of dragging a whole RequestStats line into cache.
-  std::vector<std::uint64_t> started_;       // services x classes
-  std::vector<std::uint64_t> completed_;     // services x classes
-  std::vector<StreamingStats> latency_;      // services x classes
-  std::vector<StreamingStats> service_time_; // services x classes
-  std::vector<RateMeter> service_rates_;     // per service
-  std::vector<std::size_t> inflight_;        // per service
+  std::vector<std::uint32_t> row_of_;  // per service: hosted row or kNotHosted
+  // Structure-of-arrays over (hosted service x class): the data plane
+  // increments a bare counter per request start, so the hot column stays
+  // 8 bytes/cell instead of dragging a whole RequestStats line into cache.
+  std::vector<std::uint64_t> started_;       // hosted x classes
+  std::vector<std::uint64_t> completed_;     // hosted x classes
+  std::vector<StreamingStats> latency_;      // hosted x classes
+  std::vector<StreamingStats> service_time_; // hosted x classes
+  std::vector<RateMeter> service_rates_;     // per hosted service
+  std::vector<std::size_t> inflight_;        // per hosted service
   std::vector<RateMeter> ingress_rates_;     // per class
   std::vector<std::uint64_t> ingress_counts_;  // per class, period-scoped
   std::vector<std::uint64_t> ingress_rejected_;  // per class, period-scoped

@@ -9,9 +9,12 @@
 //
 // PoolPtr<T> is the shared_ptr analogue: copies bump a (non-atomic) count
 // in the slot header, and the slot returns to the freelist when the count
-// hits zero. Single-threaded by design — each Simulation owns its pools,
-// matching the one-simulator-per-thread execution model of the parallel
-// experiment harness.
+// hits zero. Single-threaded by design — each Simulation island owns its
+// pools and touches them only from its own event loop.
+//
+// The chunk size trades heap touches for idle memory: a chunk is carved
+// whole on first use, so a world of many lightly loaded islands sizes each
+// island's chunks to its share of the offered load.
 //
 // Lifetime contract: the Pool must outlive every PoolPtr into it (declare
 // pools before the structures whose members hold handles). Slots still

@@ -51,10 +51,22 @@ TEST(FastOptimizer, UnderloadedStaysLocal) {
   const Scenario scenario = make_two_cluster_chain_scenario(params);
   const OptimizerResult r = fast_optimize(scenario);
   ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.overflowed_stations(), 0u);
   for (std::size_t node = 1; node <= 3; ++node) {
     EXPECT_GT(local_weight(r, ClassId{0}, node, ClusterId{0}), 0.99);
     EXPECT_GT(local_weight(r, ClassId{0}, node, ClusterId{1}), 0.99);
   }
+}
+
+TEST(FastOptimizer, GlobalOverloadPlansOverflow) {
+  TwoClusterChainParams params;
+  params.west_rps = 3000.0;  // beyond combined capacity (~1425)
+  params.east_rps = 500.0;
+  const Scenario scenario = make_two_cluster_chain_scenario(params);
+  const OptimizerResult r = fast_optimize(scenario);
+  ASSERT_TRUE(r.ok());
+  EXPECT_GT(r.overflowed_stations(), 0u);
+  EXPECT_GT(r.peak_utilization(), 1.0);
 }
 
 TEST(FastOptimizer, OffloadsUnderOverload) {

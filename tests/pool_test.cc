@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -141,6 +142,43 @@ TEST(PoolPtr, MemberDestructorsRunOnRecycle) {
   EXPECT_FALSE(weak.expired());
   h.reset();
   EXPECT_TRUE(weak.expired());
+}
+
+TEST(Pool, SmallChunksGrowKeepAddressesAndReuseFreedSlots) {
+  // 16 objects per chunk: the smallest chunk a lightly loaded island gets.
+  Pool<int> pool(16);
+  std::vector<PoolPtr<int>> held;
+  std::vector<int*> addresses;
+  for (int i = 0; i < 40; ++i) {
+    held.push_back(pool.make(i));
+    addresses.push_back(held.back().get());
+  }
+  EXPECT_EQ(pool.chunk_count(), 3u);
+  EXPECT_EQ(pool.capacity(), 48u);
+  // Growth never moved an object carved from an earlier chunk.
+  for (int i = 0; i < 40; ++i) {
+    EXPECT_EQ(held[static_cast<std::size_t>(i)].get(),
+              addresses[static_cast<std::size_t>(i)]);
+    EXPECT_EQ(*held[static_cast<std::size_t>(i)], i);
+  }
+  // Free every other object of the first two chunks, then refill the
+  // arena: the freed slots and the third chunk's tail absorb the demand.
+  std::vector<int*> freed;
+  for (std::size_t i = 0; i < 32; i += 2) {
+    freed.push_back(held[i].get());
+    held[i].reset();
+  }
+  EXPECT_EQ(pool.live(), 24u);
+  for (int i = 0; i < 16; ++i) {
+    PoolPtr<int> p = pool.make(100 + i);
+    EXPECT_NE(std::find(freed.begin(), freed.end(), p.get()), freed.end());
+    held.push_back(std::move(p));
+  }
+  EXPECT_EQ(pool.chunk_count(), 3u);
+  EXPECT_EQ(pool.live(), 40u);
+  for (std::size_t i = 1; i < 40; i += 2) {
+    EXPECT_EQ(*held[i], static_cast<int>(i));
+  }
 }
 
 TEST(Pool, ManyChurnCyclesStayBounded) {

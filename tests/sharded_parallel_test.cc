@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -18,6 +19,7 @@
 #include "runtime/experiment.h"
 #include "runtime/scenarios.h"
 #include "runtime/simulation.h"
+#include "topogen/topogen.h"
 
 namespace slate {
 namespace {
@@ -324,6 +326,67 @@ TEST(ShardedSimulation, IdentityBilevelArmed) {
   EXPECT_GT(r.bilevel_plans_pushed, 0u);
   EXPECT_GT(r.server_seconds, 0.0);
   EXPECT_GT(r.server_cost_dollars, 0.0);
+}
+
+// FNV-1a over the bit patterns of a result's data-plane outputs: request
+// and event counters, egress, the latency sample stream in order, the flow
+// matrices and the station utilizations.
+std::uint64_t result_digest(const ExperimentResult& r) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (std::uint64_t v : {r.generated, r.completed, r.failed, r.sim_events,
+                          r.egress_bytes, r.local_bytes}) {
+    mix(v);
+  }
+  for (double v : r.e2e.samples()) mix(std::bit_cast<std::uint64_t>(v));
+  for (const auto& by_node : r.flows) {
+    for (const auto& m : by_node) {
+      for (std::uint64_t v : m.data()) mix(v);
+    }
+  }
+  for (double u : r.station_utilization) mix(std::bit_cast<std::uint64_t>(u));
+  return h;
+}
+
+TEST(ShardedSimulation, WaterfallTopogenIslandsMatchPinnedDigest) {
+  // Twelve latency islands under Waterfall: every route pick reads the
+  // barrier load snapshot the islands' meters sum into, and every island
+  // writes its own caller rows of the shared flow matrices. Worker counts
+  // must agree, and the digest is pinned from the dense snapshot (every
+  // service x cluster x island meter summed at every barrier), so the
+  // incremental snapshot must reproduce the dense sum bit for bit.
+  TopoGenOptions world;
+  world.seed = 3;
+  world.clusters = 12;
+  world.services = 40;
+  // Loaded enough that local stations cross their thresholds and picks
+  // depend on the snapshot: drop one island's meters from it and this
+  // digest moves.
+  world.target_utilization = 0.7;
+  const Scenario scenario = make_synth_scenario(world);
+  RunConfig config;
+  config.policy = PolicyKind::kWaterfall;
+  config.duration = 4.0;
+  config.warmup = 1.0;
+  config.seed = 7;
+  config.shards = 1;
+  {
+    Simulation probe(scenario, config);
+    EXPECT_EQ(probe.island_count(), 12u);
+  }
+  const ExperimentResult one = run_experiment(scenario, config);
+  EXPECT_GT(one.completed, 0u);
+  for (std::size_t shards : {2u, 4u}) {
+    SCOPED_TRACE(shards);
+    config.shards = shards;
+    expect_same_result(one, run_experiment(scenario, config));
+  }
+  EXPECT_EQ(result_digest(one), 0xf4778f8e82f5acd2ull);
 }
 
 TEST(ShardedSimulation, SingleIslandShardedMatchesLegacyExactly) {

@@ -2,6 +2,9 @@
 // trace collector.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "telemetry/metrics.h"
 #include "telemetry/sample_store.h"
 #include "telemetry/span.h"
@@ -86,6 +89,53 @@ TEST(MetricsRegistry, BadIdsThrow) {
                std::out_of_range);
   EXPECT_THROW(reg.record_ingress(ClassId{3}, 0.0), std::out_of_range);
   EXPECT_THROW(reg.e2e(ClassId{}), std::out_of_range);
+}
+
+TEST(MetricsRegistry, OnlyHostedServicesHaveCells) {
+  // Services 0 and 2 of 3 are hosted here; service 1 runs elsewhere.
+  MetricsRegistry reg(3, 2, std::vector<ServiceId>{ServiceId{2}, ServiceId{0}});
+  reg.record_start(ServiceId{2}, ClassId{1}, 0.0);
+  reg.record_end(ServiceId{2}, ClassId{1}, 0.05, 0.01);
+  reg.record_start(ServiceId{0}, ClassId{0}, 0.0);
+  EXPECT_EQ(reg.stats(ServiceId{2}, ClassId{1}).completed, 1u);
+  EXPECT_DOUBLE_EQ(reg.stats(ServiceId{2}, ClassId{1}).service.mean(), 0.01);
+  EXPECT_EQ(reg.stats(ServiceId{2}, ClassId{0}).started, 0u);
+  EXPECT_EQ(reg.stats(ServiceId{0}, ClassId{0}).started, 1u);
+  EXPECT_EQ(reg.inflight(ServiceId{0}), 1u);
+  EXPECT_GT(reg.service_rate(ServiceId{2}, 0.5), 0.0);
+
+  // The non-hosted service reads as empty and refuses recording.
+  const RequestStats empty = reg.stats(ServiceId{1}, ClassId{1});
+  EXPECT_EQ(empty.started, 0u);
+  EXPECT_EQ(empty.completed, 0u);
+  EXPECT_EQ(empty.latency.count(), 0u);
+  EXPECT_EQ(reg.inflight(ServiceId{1}), 0u);
+  EXPECT_EQ(reg.service_rate(ServiceId{1}, 0.5), 0.0);
+  EXPECT_THROW(reg.record_start(ServiceId{1}, ClassId{0}, 0.0),
+               std::out_of_range);
+  EXPECT_THROW(reg.record_end(ServiceId{1}, ClassId{0}, 0.05),
+               std::out_of_range);
+  // Ids outside the application still throw on reads too.
+  EXPECT_THROW(static_cast<void>(reg.stats(ServiceId{3}, ClassId{0})),
+               std::out_of_range);
+  EXPECT_THROW(static_cast<void>(reg.stats(ServiceId{1}, ClassId{2})),
+               std::out_of_range);
+
+  // A period reset clears hosted cells only; the class-level signals are
+  // unaffected by hosting.
+  reg.record_ingress(ClassId{1}, 0.0);
+  EXPECT_EQ(reg.ingress_count(ClassId{1}), 1u);
+  reg.reset_period();
+  EXPECT_EQ(reg.stats(ServiceId{2}, ClassId{1}).completed, 0u);
+  EXPECT_EQ(reg.ingress_count(ClassId{1}), 0u);
+}
+
+TEST(MetricsRegistry, BadHostedListThrows) {
+  EXPECT_THROW(MetricsRegistry(2, 1, std::vector<ServiceId>{ServiceId{2}}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      MetricsRegistry(2, 1, std::vector<ServiceId>{ServiceId{1}, ServiceId{1}}),
+      std::invalid_argument);
 }
 
 TEST(SampleStore, AddAndRead) {
