@@ -4,7 +4,8 @@
 // rollback, admission cuts) all engage after a failure has landed and queues
 // have built. The contingency subsystem plans ahead instead:
 //
-//   * N-1 headroom planning (headroom_planner.h) verifies that the
+//   * N-1 headroom planning (worst_case_margin in core/plan_eval.h, run by
+//     the global controller) verifies that the
 //     post-failure reroute of the chosen routing plan fits within per-station
 //     utilization caps for every single-cluster failure, and pads the
 //     optimizer's utilization cap until it does.

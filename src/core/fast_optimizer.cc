@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/plan_eval.h"
 #include "lp/piecewise.h"
 
 namespace slate {
 namespace {
-
-constexpr double kBytesPerGb = 1024.0 * 1024.0 * 1024.0;
 
 // Working state for one optimization run.
 struct Descent {
@@ -17,7 +16,6 @@ struct Descent {
   const Topology& topology;
   const LatencyModel& model;
   const FastOptimizerOptions& options;
-  const std::vector<unsigned>* live_servers;
 
   std::size_t C, K, S;
   FlatMatrix<double> eff_demand;  // K x C
@@ -29,7 +27,7 @@ struct Descent {
   std::vector<double> utilization;                         // s * C + c
   std::vector<double> servers;                             // s * C + c
 
-  double servers_at(std::size_t s, std::size_t c) const {
+  double n_servers(std::size_t s, std::size_t c) const {
     return servers[s * C + c];
   }
 
@@ -60,7 +58,7 @@ struct Descent {
           if (a[c] > 0.0) {
             utilization[svc.index() * C + c] +=
                 a[c] * model.service_time(svc, ClassId{k}, ClusterId{c}) /
-                servers_at(svc.index(), c);
+                n_servers(svc.index(), c);
           }
         }
       }
@@ -75,7 +73,7 @@ struct Descent {
       for (std::size_t c = 0; c < C; ++c) {
         const double u = utilization[s * C + c];
         if (u <= 0.0) continue;
-        const double n = servers_at(s, c);
+        const double n = n_servers(s, c);
         total += n * (u + queue_cost(std::min(u, 0.999)));
       }
     }
@@ -91,27 +89,14 @@ struct Descent {
             if (i == j) continue;
             const double w = weights[k][n][i * C + j];
             if (w <= 0.0) continue;
-            total += out * w * edge_cost(graph, n, i, j);
+            total += out * w *
+                     call_edge_cost(topology, graph.node(n), ClusterId{i},
+                                    ClusterId{j}, options.cost_weight);
           }
         }
       }
     }
     return total;
-  }
-
-  // Per-call cross-cluster cost of edge n from i to j (seconds-equivalent).
-  double edge_cost(const CallGraph& graph, std::size_t n, std::size_t i,
-                   std::size_t j) const {
-    const ClusterId ci{i}, cj{j};
-    const double rtt =
-        topology.one_way_latency(ci, cj) + topology.one_way_latency(cj, ci);
-    const double dollars =
-        (static_cast<double>(graph.node(n).request_bytes) *
-             topology.egress_price_per_gb(ci, cj) +
-         static_cast<double>(graph.node(n).response_bytes) *
-             topology.egress_price_per_gb(cj, ci)) /
-        kBytesPerGb;
-    return rtt + options.cost_weight * dollars;
   }
 
   // Marginal cost of sending one more class-k call of node n to cluster j:
@@ -150,41 +135,16 @@ OptimizerResult FastRouteOptimizer::optimize(
   const std::size_t C = deployment_->cluster_count();
   const std::size_t K = app_->class_count();
   const std::size_t S = app_->service_count();
-  if (demand.rows() != K || demand.cols() != C) {
-    throw std::invalid_argument("FastRouteOptimizer: demand shape mismatch");
-  }
 
-  Descent d{*app_,  *deployment_, *topology_, model,
-            options_, live_servers, C,         K,
-            S,       FlatMatrix<double>(K, C, 0.0), {}, {}, {}, {}};
+  Descent d{*app_, *deployment_, *topology_, model, options_, C, K, S,
+            front_door_demand(*app_, *deployment_, *topology_, demand),
+            {}, {}, {}, {}};
 
-  // Effective demand (front-door anycast, same as the exact optimizer).
-  for (std::size_t k = 0; k < K; ++k) {
-    const ServiceId entry = app_->entry_service(ClassId{k});
-    const auto entry_clusters = deployment_->clusters_for(entry);
-    for (std::size_t c = 0; c < C; ++c) {
-      const double dem = demand(k, c);
-      if (dem <= 0.0) continue;
-      if (deployment_->is_deployed(entry, ClusterId{c})) {
-        d.eff_demand(k, c) += dem;
-      } else {
-        d.eff_demand(k, topology_->nearest(ClusterId{c}, entry_clusters).index()) +=
-            dem;
-      }
-    }
-  }
-
-  // Server counts (live overrides win).
   d.servers.assign(S * C, 0.0);
   for (std::size_t s = 0; s < S; ++s) {
     for (std::size_t c = 0; c < C; ++c) {
       if (!deployment_->is_deployed(ServiceId{s}, ClusterId{c})) continue;
-      unsigned n = deployment_->servers(ServiceId{s}, ClusterId{c});
-      if (live_servers != nullptr && s * C + c < live_servers->size() &&
-          (*live_servers)[s * C + c] > 0) {
-        n = (*live_servers)[s * C + c];
-      }
-      d.servers[s * C + c] = static_cast<double>(n);
+      d.servers[s * C + c] = servers_at(*deployment_, live_servers, s, c);
     }
   }
 
@@ -205,9 +165,8 @@ OptimizerResult FastRouteOptimizer::optimize(
       for (std::size_t i = 0; i < C; ++i) {
         if (!deployment_->is_deployed(parent_svc, ClusterId{i})) continue;
         for (ClusterId j : candidates) d.weights[k][n][i * C + j.index()] = 0.0;
-        const ClusterId home = deployment_->is_deployed(svc, ClusterId{i})
-                                   ? ClusterId{i}
-                                   : topology_->nearest(ClusterId{i}, candidates);
+        const ClusterId home =
+            topology_->local_or_nearest(ClusterId{i}, candidates);
         d.weights[k][n][i * C + home.index()] = 1.0;
       }
     }
@@ -237,7 +196,10 @@ OptimizerResult FastRouteOptimizer::optimize(
           for (std::size_t j = 0; j < C; ++j) {
             if (w[i * C + j] < 0.0) continue;
             double cost = d.destination_marginal(k, graph, n, j);
-            if (i != j) cost += d.edge_cost(graph, n, i, j);
+            if (i != j) {
+              cost += call_edge_cost(*topology_, graph.node(n), ClusterId{i},
+                                     ClusterId{j}, options_.cost_weight);
+            }
             if (best_j == C || cost < best_cost) {
               best_cost = cost;
               best_j = j;
@@ -259,9 +221,9 @@ OptimizerResult FastRouteOptimizer::optimize(
           const double st_best =
               model.service_time(svc, ClassId{k}, ClusterId{best_j});
           d.utilization[svc.index() * C + worst_j] -=
-              out * delta * st_worst / d.servers_at(svc.index(), worst_j);
+              out * delta * st_worst / d.n_servers(svc.index(), worst_j);
           d.utilization[svc.index() * C + best_j] +=
-              out * delta * st_best / d.servers_at(svc.index(), best_j);
+              out * delta * st_best / d.n_servers(svc.index(), best_j);
         }
       }
     }

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <utility>
 
+#include "core/plan_eval.h"
 #include "util/logging.h"
 #include "workload/demand.h"
 
@@ -43,9 +44,6 @@ GlobalController::GlobalController(const Application& app,
   }
   if (options_.guard.rollout.enabled) {
     rollout_ = std::make_unique<RuleRollout>(options_.guard.rollout);
-  }
-  if (options_.contingency.enabled) {
-    headroom_ = std::make_unique<HeadroomPlanner>(app, deployment, topology);
   }
   switch (options_.forecast.kind) {
     case ForecastKind::kLast:
@@ -96,11 +94,7 @@ void GlobalController::set_capacity_overlay(const std::vector<unsigned>& overlay
 }
 
 double GlobalController::planned_servers(ServiceId s, ClusterId c) const {
-  const std::size_t i = s.index() * topology_->cluster_count() + c.index();
-  if (i < planned_capacity_.size() && planned_capacity_[i] > 0) {
-    return static_cast<double>(planned_capacity_[i]);
-  }
-  return static_cast<double>(deployment_->servers(s, c));
+  return servers_at(*deployment_, &planned_capacity_, s.index(), c.index());
 }
 
 const std::vector<unsigned>* GlobalController::capacity_view() {
@@ -128,13 +122,10 @@ const std::vector<unsigned>* GlobalController::capacity_view() {
       // deployment; 0 stays 0 (not deployed). Floor at one server so the
       // program stays feasible — the data plane's drain filter, not the
       // solver, performs the final cutoff.
-      const unsigned base_servers =
-          (*base)[s * C + c] > 0
-              ? (*base)[s * C + c]
-              : deployment_->servers(ServiceId{s}, ClusterId{c});
-      if (base_servers == 0) continue;
-      scaled_live_[s * C + c] = std::max(
-          1u, static_cast<unsigned>(static_cast<double>(base_servers) * scale));
+      const double base_servers = servers_at(*deployment_, base, s, c);
+      if (base_servers == 0.0) continue;
+      scaled_live_[s * C + c] =
+          std::max(1u, static_cast<unsigned>(base_servers * scale));
     }
   }
   return &scaled_live_;
@@ -151,17 +142,15 @@ const FlatMatrix<double>& GlobalController::apply_drain_divert(
     for (std::size_t k = 0; k < demand.rows(); ++k) {
       const double diverted = (1.0 - keep) * demand(k, c);
       if (diverted <= 0.0) continue;
-      // Mirror the data plane's front-door divert: nearest cluster hosting
-      // the entry service that is not itself evacuating.
-      const ServiceId entry = app_->entry_service(ClassId{k});
-      std::vector<ClusterId> candidates;
-      for (std::size_t t = 0; t < C; ++t) {
-        if (t == c || drain_scale_[t] <= 0.0) continue;
-        if (!deployment_->is_deployed(entry, ClusterId{t})) continue;
-        candidates.push_back(ClusterId{t});
-      }
-      if (candidates.empty()) continue;  // divert has nowhere to go
-      const ClusterId target = topology_->nearest(ClusterId{c}, candidates);
+      // The front door the data plane diverts to: the nearest entry
+      // replica that is not itself evacuating.
+      const ClusterId target = topology_->local_or_nearest(
+          ClusterId{c},
+          deployment_->clusters_for(app_->entry_service(ClassId{k})),
+          [&](ClusterId t) {
+            return t == ClusterId{c} || drain_scale_[t.index()] <= 0.0;
+          });
+      if (!target.valid()) continue;  // divert has nowhere to go
       drain_demand_(k, c) -= diverted;
       drain_demand_(k, target.index()) += diverted;
     }
@@ -174,9 +163,12 @@ void GlobalController::plan_contingency(const FlatMatrix<double>& solve_demand,
                                         bool exact_plan) {
   const ContingencyOptions& c = options_.contingency;
   ++contingency_evals_;
-  double margin = headroom_->worst_case_margin(model_, solve_demand,
-                                               *last_result_.rules, live,
-                                               &contingency_worst_failure_);
+  const auto worst_margin = [&] {
+    return worst_case_margin(*app_, *deployment_, *topology_, model_,
+                             solve_demand, *last_result_.rules, live,
+                             &contingency_worst_failure_);
+  };
+  double margin = worst_margin();
   if (exact_plan) {
     const double primary_cap = options_.optimizer.max_utilization;
     // Pad levels are quantized so the padded-solve inputs repeat across
@@ -207,9 +199,7 @@ void GlobalController::plan_contingency(const FlatMatrix<double>& solve_demand,
         OptimizerResult padded = padded_solve(level);
         if (!padded.ok()) break;  // keep the plan we have
         last_result_ = std::move(padded);
-        margin = headroom_->worst_case_margin(
-            model_, solve_demand, *last_result_.rules, live,
-            &contingency_worst_failure_);
+        margin = worst_margin();
       }
       if (margin <= c.max_post_failure_utilization || level >= max_level) {
         break;
@@ -470,7 +460,7 @@ std::shared_ptr<const RoutingRuleSet> GlobalController::on_reports(
   // failure and re-price with a padded cap until the worst-case reroute
   // fits (docs/resilience.md). Runs before emission so rollout damping
   // steps toward the padded target.
-  if (headroom_ != nullptr && last_result_.rules != nullptr) {
+  if (options_.contingency.enabled && last_result_.rules != nullptr) {
     plan_contingency(solve_demand, live,
                      outcome.rung != SolverRung::kCapacitySplit);
   }

@@ -19,7 +19,6 @@
 
 #include "cluster/deployment.h"
 #include "contingency/contingency.h"
-#include "contingency/headroom_planner.h"
 #include "forecast/demand_forecaster.h"
 #include "core/model_fitter.h"
 #include "core/optimizer.h"
@@ -342,7 +341,6 @@ class GlobalController {
   std::uint64_t forecast_solves_ = 0;
 
   // Contingency state (inert unless options.contingency.enabled).
-  std::unique_ptr<HeadroomPlanner> headroom_;
   // Padded re-solves use their own warm-start cache: the memo is keyed on
   // solve inputs, not optimizer options, so sharing the primary cache would
   // serve plans solved under a different utilization cap.

@@ -5,13 +5,13 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "core/plan_eval.h"
 #include "lp/piecewise.h"
 #include "util/strfmt.h"
 
 namespace slate {
 namespace {
 
-constexpr double kBytesPerGb = 1024.0 * 1024.0 * 1024.0;
 constexpr double kZeroFlow = 1e-9;
 
 // Dense index helpers for the variable maps.
@@ -92,14 +92,6 @@ struct SolveContext {
   const FlatMatrix<double>& eff_demand;
   const std::vector<unsigned>* live_servers;
   std::size_t C;
-
-  [[nodiscard]] double servers_at(std::size_t s, std::size_t c) const {
-    if (live_servers != nullptr && s * C + c < live_servers->size() &&
-        (*live_servers)[s * C + c] > 0) {
-      return static_cast<double>((*live_servers)[s * C + c]);
-    }
-    return deployment.servers(ServiceId{s}, ClusterId{c});
-  }
 };
 
 // Builds and solves one group's LP (or the MILP in integer mode), extracts
@@ -152,21 +144,10 @@ LpStatus solve_group(const SolveContext& ctx, const ClassGroup& group,
         if (!deployment.is_deployed(parent_svc, ClusterId{i})) continue;
         for (std::size_t j = 0; j < C; ++j) {
           if (!deployment.is_deployed(svc, ClusterId{j})) continue;
-          // Objective: network RTT (request out + response back) plus
-          // weighted egress dollars per call.
-          double coeff = 0.0;
-          if (i != j) {
-            const ClusterId ci{i}, cj{j};
-            coeff += topology.one_way_latency(ci, cj) +
-                     topology.one_way_latency(cj, ci);
-            const double dollars_per_call =
-                (static_cast<double>(graph.node(n).request_bytes) *
-                     topology.egress_price_per_gb(ci, cj) +
-                 static_cast<double>(graph.node(n).response_bytes) *
-                     topology.egress_price_per_gb(cj, ci)) /
-                kBytesPerGb;
-            coeff += options.cost_weight * dollars_per_call;
-          }
+          const double coeff =
+              i == j ? 0.0
+                     : call_edge_cost(topology, graph.node(n), ClusterId{i},
+                                      ClusterId{j}, options.cost_weight);
           vars.x[k][n][i * C + j] = lp.add_variable(
               0.0, kLpInfinity, coeff,
               strfmt("x[k%zu][n%zu][%zu->%zu]", k, n, i, j));
@@ -185,7 +166,7 @@ LpStatus solve_group(const SolveContext& ctx, const ClassGroup& group,
   for (const std::size_t s : group.services) {
     for (std::size_t c = 0; c < C; ++c) {
       if (!deployment.is_deployed(ServiceId{s}, ClusterId{c})) continue;
-      const double n_servers = ctx.servers_at(s, c);
+      const double n_servers = servers_at(deployment, ctx.live_servers, s, c);
       // Joint cost: busy work u*n implies u*n/price_target provisioned
       // replicas at this cluster's $/server-hour. weight = 0 adds exactly
       // 0.0 to the coefficient, keeping the legacy objective bit-identical.
@@ -253,7 +234,7 @@ LpStatus solve_group(const SolveContext& ctx, const ClassGroup& group,
     for (std::size_t c = 0; c < C; ++c) {
       const int uv = vars.u[s * C + c];
       if (uv < 0) continue;
-      const double n_servers = ctx.servers_at(s, c);
+      const double n_servers = servers_at(deployment, ctx.live_servers, s, c);
       std::vector<LinearTerm> terms{{uv, -1.0}, {vars.o[s * C + c], -1.0}};
       for (const std::size_t k : group.classes) {
         const CallGraph& graph = app.traffic_class(ClassId{k}).graph;
@@ -336,8 +317,7 @@ LpStatus solve_group(const SolveContext& ctx, const ClassGroup& group,
   for (const std::size_t k : group.classes) {
     const CallGraph& graph = app.traffic_class(ClassId{k}).graph;
     for (std::size_t n = 1; n < graph.node_count(); ++n) {
-      const ServiceId svc = graph.node(n).service;
-      const auto candidates = deployment.clusters_for(svc);
+      const auto candidates = deployment.clusters_for(graph.node(n).service);
       const std::size_t p = graph.node(n).parent;
       const ServiceId parent_svc = graph.node(p).service;
       for (std::size_t i = 0; i < C; ++i) {
@@ -356,9 +336,7 @@ LpStatus solve_group(const SolveContext& ctx, const ClassGroup& group,
           // No flow observed from this origin: deterministic fallback so the
           // data plane always has a complete rule.
           const ClusterId fallback =
-              deployment.is_deployed(svc, ClusterId{i})
-                  ? ClusterId{i}
-                  : topology.nearest(ClusterId{i}, candidates);
+              topology.local_or_nearest(ClusterId{i}, candidates);
           weights.weights.assign(weights.weights.size(), 0.0);
           for (std::size_t wi = 0; wi < weights.clusters.size(); ++wi) {
             if (weights.clusters[wi] == fallback) weights.weights[wi] = 1.0;
@@ -375,7 +353,7 @@ LpStatus solve_group(const SolveContext& ctx, const ClassGroup& group,
     for (std::size_t c = 0; c < C; ++c) {
       const int uv = vars.u[s * C + c];
       if (uv < 0) continue;
-      const double n_servers = ctx.servers_at(s, c);
+      const double n_servers = servers_at(deployment, ctx.live_servers, s, c);
       const double u = solution.values[uv];
       const double o = solution.values[vars.o[s * C + c]];
       plan_u[s * C + c] = u + o;
@@ -463,9 +441,6 @@ OptimizerResult RouteOptimizer::optimize(
   const std::size_t C = deployment_->cluster_count();
   const std::size_t K = app_->class_count();
   const std::size_t S = app_->service_count();
-  if (demand.rows() != K || demand.cols() != C) {
-    throw std::invalid_argument("RouteOptimizer: demand matrix shape mismatch");
-  }
 
   // Steady-state memo: when demand, the fitted model, and live capacity are
   // bit-identical to the previous solve, the previous plan IS the optimal
@@ -488,24 +463,8 @@ OptimizerResult RouteOptimizer::optimize(
   }
 
   OptimizerResult result;
-
-  // Effective demand: reassign demand at clusters lacking the entry service
-  // to the nearest cluster that has it (front-door anycast).
-  FlatMatrix<double> eff_demand(K, C, 0.0);
-  for (std::size_t k = 0; k < K; ++k) {
-    const ServiceId entry = app_->entry_service(ClassId{k});
-    const auto entry_clusters = deployment_->clusters_for(entry);
-    for (std::size_t c = 0; c < C; ++c) {
-      const double d = demand(k, c);
-      if (d <= 0.0) continue;
-      if (deployment_->is_deployed(entry, ClusterId{c})) {
-        eff_demand(k, c) += d;
-      } else {
-        const ClusterId fallback = topology_->nearest(ClusterId{c}, entry_clusters);
-        eff_demand(k, fallback.index()) += d;
-      }
-    }
-  }
+  const FlatMatrix<double> eff_demand =
+      front_door_demand(*app_, *deployment_, *topology_, demand);
 
   // Class groups. Anything that prevents decomposition — the MILP mode, the
   // option being off, or every class sharing one component — collapses to a

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <exception>
 
+#include "core/plan_eval.h"
 #include "util/logging.h"
 
 namespace slate {
@@ -139,12 +140,10 @@ OptimizerResult SolverGuard::capacity_split(
       cap = static_cast<double>(deployment_->servers(svc, c)) /
             std::max(st, 1e-6);
     }
-    if (live_servers != nullptr) {
-      const unsigned live = (*live_servers)[svc.index() * C + c.index()];
-      const unsigned static_servers = deployment_->servers(svc, c);
-      if (live > 0 && static_servers > 0) {
-        cap *= static_cast<double>(live) / static_cast<double>(static_servers);
-      }
+    const double static_servers = deployment_->servers(svc, c);
+    if (static_servers > 0.0) {
+      cap *= servers_at(*deployment_, live_servers, svc.index(), c.index()) /
+             static_servers;
     }
     return std::max(cap, 1e-9);
   };

@@ -1,9 +1,6 @@
 #include "net/egress_meter.h"
 
 namespace slate {
-namespace {
-constexpr double kBytesPerGb = 1024.0 * 1024.0 * 1024.0;
-}
 
 EgressMeter::EgressMeter(const Topology& topology)
     : topology_(&topology),

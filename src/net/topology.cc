@@ -1,6 +1,5 @@
 #include "net/topology.h"
 
-#include <limits>
 #include <stdexcept>
 
 #include "util/strfmt.h"
@@ -125,24 +124,6 @@ double Topology::sample_latency(ClusterId from, ClusterId to, Rng& rng) const {
   const double base = one_way_latency(from, to);
   if (base == 0.0 || jitter_ == 0.0) return base;
   return base * (1.0 + rng.uniform(-jitter_, jitter_));
-}
-
-ClusterId Topology::nearest(ClusterId from,
-                            const std::vector<ClusterId>& candidates) const {
-  check(from);
-  ClusterId best;
-  double best_latency = std::numeric_limits<double>::infinity();
-  for (ClusterId c : candidates) {
-    check(c);
-    if (c == from && candidates.size() > 1) continue;
-    const double l = one_way_latency(from, c);
-    if (l < best_latency || (l == best_latency && (!best.valid() || c < best))) {
-      best_latency = l;
-      best = c;
-    }
-  }
-  if (!best.valid() && !candidates.empty()) best = candidates.front();
-  return best;
 }
 
 std::vector<ClusterId> Topology::all_clusters() const {

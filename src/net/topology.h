@@ -7,7 +7,9 @@
 // local costs neither.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -17,6 +19,14 @@
 #include "util/rng.h"
 
 namespace slate {
+
+// Egress prices are per GiB (2^30 bytes), as cloud bills count them.
+inline constexpr double kBytesPerGb = 1024.0 * 1024.0 * 1024.0;
+
+// The default exclusion predicate of Topology::nearest/local_or_nearest.
+struct NoneExcluded {
+  constexpr bool operator()(ClusterId /*c*/) const noexcept { return false; }
+};
 
 class Topology {
  public:
@@ -61,15 +71,60 @@ class Topology {
   [[nodiscard]] double sample_latency(ClusterId from, ClusterId to, Rng& rng) const;
 
   // The cluster nearest to `from` among `candidates` by one-way latency
-  // (excluding `from` itself unless it is the only candidate). Ties break to
-  // the lowest id, mirroring a deterministic priority list.
+  // (excluding `from` itself unless no other candidate is left). Ties break
+  // to the lowest id, mirroring a deterministic priority list; when no
+  // latency compares (all NaN) the first candidate wins. Candidates for which
+  // `excluded(c)` holds are skipped; with none left the id is invalid.
+  template <typename Excluded = NoneExcluded>
   [[nodiscard]] ClusterId nearest(ClusterId from,
-                                  const std::vector<ClusterId>& candidates) const;
+                                  const std::vector<ClusterId>& candidates,
+                                  Excluded excluded = {}) const {
+    return pick(from, candidates, excluded, /*local=*/false);
+  }
+
+  // Where the data plane sends a call or an arrival with no rule to follow,
+  // and where every planner models it going: `from` itself if it is a
+  // candidate and not excluded, else nearest(). Allocates nothing.
+  template <typename Excluded = NoneExcluded>
+  [[nodiscard]] ClusterId local_or_nearest(
+      ClusterId from, const std::vector<ClusterId>& candidates,
+      Excluded excluded = {}) const {
+    return pick(from, candidates, excluded, /*local=*/true);
+  }
 
   [[nodiscard]] std::vector<ClusterId> all_clusters() const;
 
  private:
   void check(ClusterId c) const;
+
+  // Out of line: inlined into Simulation::on_arrival it cost the
+  // synth-waterfall data plane about 7% of host throughput (perfbench).
+  template <typename Excluded>
+  [[gnu::noinline]] ClusterId pick(ClusterId from,
+                                   const std::vector<ClusterId>& candidates,
+                                   Excluded& excluded, bool local) const {
+    check(from);
+    if (local && std::find(candidates.begin(), candidates.end(), from) !=
+                     candidates.end() &&
+        !excluded(from)) {
+      return from;
+    }
+    ClusterId best, first;
+    double best_latency = std::numeric_limits<double>::infinity();
+    for (ClusterId c : candidates) {
+      check(c);
+      if (excluded(c)) continue;
+      if (!first.valid()) first = c;
+      if (c == from) continue;
+      const double l = latency_(from.index(), c.index());
+      if (l < best_latency ||
+          (l == best_latency && (!best.valid() || c < best))) {
+        best_latency = l;
+        best = c;
+      }
+    }
+    return best.valid() ? best : first;
+  }
 
   std::vector<std::string> names_;
   FlatMatrix<double> latency_;  // one-way seconds

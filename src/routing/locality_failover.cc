@@ -3,10 +3,7 @@
 namespace slate {
 
 ClusterId LocalityFailoverPolicy::route(const RouteQuery& query, Rng& /*rng*/) {
-  for (ClusterId c : *query.candidates) {
-    if (c == query.from) return c;
-  }
-  return topology_->nearest(query.from, *query.candidates);
+  return topology_->local_or_nearest(query.from, *query.candidates);
 }
 
 }  // namespace slate

@@ -78,10 +78,7 @@ ClusterId WeightedRulesPolicy::route(const RouteQuery& query, Rng& rng) {
     }
   }
   // No rule yet: locality failover.
-  for (ClusterId c : *query.candidates) {
-    if (c == query.from) return c;
-  }
-  return topology_->nearest(query.from, *query.candidates);
+  return topology_->local_or_nearest(query.from, *query.candidates);
 }
 
 }  // namespace slate

@@ -512,7 +512,6 @@ void Simulation::on_arrival(ClassId cls, ClusterId cluster) {
   registries_[cluster.index()]->record_ingress(cls, cx.sim->now());
 
   const ServiceId entry = app.entry_service(cls);
-  ClusterId entry_cluster = cluster;
   // Coordinated drain: the front door sheds (1 - keep) of this cluster's
   // new arrivals to the nearest healthy edge — the DNS/anycast weight shift
   // a real evacuation starts with. Zero RNG draws unless this cluster is
@@ -525,46 +524,37 @@ void Simulation::on_arrival(ClassId cls, ClusterId cluster) {
       drain_divert = true;
     }
   }
-  if (!scenario_.deployment->is_deployed(entry, cluster) ||
-      cluster_down(cluster) || drain_divert) {
-    // Front-door failover: the nearest up cluster hosting the entry service
-    // (clients reach a healthy edge via DNS/anycast; the client edge itself
-    // is not subject to link partitions).
-    std::vector<ClusterId> alive;
-    for (ClusterId c : candidates_[entry.index()]) {
-      if (cluster_down(c)) continue;
-      if (drain_divert && c == cluster) continue;
-      if (drain_orch_ != nullptr && c != cluster &&
-          drain_keep_[c.index()] <= 0.0) {
-        continue;  // never divert INTO a fully evacuated cluster
-      }
-      alive.push_back(c);
-    }
-    if (alive.empty() && have_fully_drained_) {
-      // Panic: every live alternative is evacuated. An evacuated-but-up
-      // cluster beats stranding the request (same rule the breaker's
-      // panic-threshold applies to ejections).
-      for (ClusterId c : candidates_[entry.index()]) {
-        if (cluster_down(c)) continue;
-        if (drain_divert && c == cluster) continue;
-        alive.push_back(c);
-      }
-    }
-    if (alive.empty()) {
-      if (drain_divert &&
-          scenario_.deployment->is_deployed(entry, cluster) &&
-          !cluster_down(cluster)) {
-        // Nowhere to divert to: a drain must degrade to serving locally,
-        // never strand traffic the way a real outage would.
-        entry_cluster = cluster;
-      } else {
-        // Every cluster hosting the entry service is down.
-        ++cx.res.call_rejections;
-        finish_request(cx, *req, false, entry, cluster);
-        return;
-      }
+  // Front door: the arrival cluster, else the nearest up entry replica
+  // (clients reach a healthy edge via DNS/anycast; the client edge itself
+  // is not subject to link partitions). A diverting cluster is skipped, and
+  // nothing is diverted INTO a fully evacuated cluster.
+  const std::vector<ClusterId>& entries = candidates_[entry.index()];
+  ClusterId entry_cluster = scenario_.topology->local_or_nearest(
+      cluster, entries, [&](ClusterId c) {
+        if (cluster_down(c)) return true;
+        if (c == cluster) return drain_divert;
+        return drain_orch_ != nullptr && drain_keep_[c.index()] <= 0.0;
+      });
+  if (!entry_cluster.valid() && have_fully_drained_) {
+    // Panic: every live alternative is evacuated. An evacuated-but-up
+    // cluster beats stranding the request (same rule the breaker's
+    // panic-threshold applies to ejections).
+    entry_cluster = scenario_.topology->local_or_nearest(
+        cluster, entries, [&](ClusterId c) {
+          return cluster_down(c) || (drain_divert && c == cluster);
+        });
+  }
+  if (!entry_cluster.valid()) {
+    if (drain_divert && scenario_.deployment->is_deployed(entry, cluster) &&
+        !cluster_down(cluster)) {
+      // Nowhere to divert to: a drain must degrade to serving locally,
+      // never strand traffic the way a real outage would.
+      entry_cluster = cluster;
     } else {
-      entry_cluster = scenario_.topology->nearest(cluster, alive);
+      // Every cluster hosting the entry service is down.
+      ++cx.res.call_rejections;
+      finish_request(cx, *req, false, entry, cluster);
+      return;
     }
   }
 

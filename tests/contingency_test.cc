@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "contingency/drain_orchestrator.h"
-#include "contingency/headroom_planner.h"
+#include "core/plan_eval.h"
 #include "fault/chaos_campaign.h"
 #include "result_checks.h"
 #include "runtime/scenario_loader.h"
@@ -18,13 +18,13 @@
 namespace slate {
 namespace {
 
-// --- HeadroomPlanner -------------------------------------------------------
+// --- N-1 headroom (worst_case_margin) ---------------------------------------
 
 // One service, one class, two clusters, one server each at 4ms compute
 // (250 RPS per server), 100 RPS of ingress demand per cluster, all-local
 // rules. If either cluster fails, its 100 RPS anycasts to the survivor:
 // 200 RPS against one server = utilization 0.8.
-TEST(HeadroomPlanner, SingleFailureReroutesDemandToSurvivor) {
+TEST(Headroom, SingleFailureReroutesDemandToSurvivor) {
   Application app;
   app.add_service("s");
   TrafficClassSpec spec;
@@ -56,14 +56,13 @@ TEST(HeadroomPlanner, SingleFailureReroutesDemandToSurvivor) {
     rules.set_rule(ClassId{0}, 0, ClusterId{c}, std::move(w));
   }
 
-  const HeadroomPlanner planner(app, deployment, topology);
-  const double after_b = planner.failure_max_utilization(
-      model, demand, rules, nullptr, ClusterId{1});
+  const double after_b = failure_max_utilization(
+      app, deployment, topology, model, demand, rules, nullptr, ClusterId{1});
   EXPECT_NEAR(after_b, 0.8, 1e-9);
 
   ClusterId worst;
-  const double margin = planner.worst_case_margin(model, demand, rules,
-                                                  nullptr, &worst);
+  const double margin = worst_case_margin(app, deployment, topology, model,
+                                          demand, rules, nullptr, &worst);
   EXPECT_NEAR(margin, 0.8, 1e-9);  // symmetric world: either failure
 
   // Pre-failure utilization for comparison: 100 * 4ms / 1 = 0.4 — the
@@ -73,7 +72,7 @@ TEST(HeadroomPlanner, SingleFailureReroutesDemandToSurvivor) {
               1e-9);
 }
 
-TEST(HeadroomPlanner, DemandWithNoSurvivingEntryIsLostNotRerouted) {
+TEST(Headroom, DemandWithNoSurvivingEntryIsLostNotRerouted) {
   Application app;
   app.add_service("s");
   TrafficClassSpec spec;
@@ -101,9 +100,8 @@ TEST(HeadroomPlanner, DemandWithNoSurvivingEntryIsLostNotRerouted) {
   w.weights = {1.0};
   rules.set_rule(ClassId{0}, 0, ClusterId{0}, std::move(w));
 
-  const HeadroomPlanner planner(app, deployment, topology);
-  EXPECT_DOUBLE_EQ(planner.failure_max_utilization(model, demand, rules,
-                                                   nullptr, ClusterId{0}),
+  EXPECT_DOUBLE_EQ(failure_max_utilization(app, deployment, topology, model,
+                                           demand, rules, nullptr, ClusterId{0}),
                    0.0);
 }
 

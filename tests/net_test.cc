@@ -92,6 +92,39 @@ TEST(Topology, NearestPrefersLowestLatency) {
   EXPECT_EQ(topo.nearest(ClusterId{0}, {ClusterId{0}}), ClusterId{0});
 }
 
+TEST(Topology, LocalOrNearestHonorsExclusionAndTies) {
+  Topology topo(4);
+  topo.set_rtt(ClusterId{0}, ClusterId{1}, 0.020);
+  topo.set_rtt(ClusterId{0}, ClusterId{2}, 0.020);
+  topo.set_rtt(ClusterId{0}, ClusterId{3}, 0.010);
+  const std::vector<ClusterId> all{ClusterId{3}, ClusterId{2}, ClusterId{1},
+                                   ClusterId{0}};
+  const auto is = [](std::size_t x) {
+    return [x](ClusterId c) { return c == ClusterId{x}; };
+  };
+  // A candidate serves its own traffic; a non-candidate goes nearest.
+  EXPECT_EQ(topo.local_or_nearest(ClusterId{0}, all), ClusterId{0});
+  EXPECT_EQ(topo.local_or_nearest(ClusterId{0}, {ClusterId{1}, ClusterId{3}}),
+            ClusterId{3});
+  // Excluding the local replica falls through to the nearest other one;
+  // equal latencies break to the lowest id whatever the list order.
+  EXPECT_EQ(topo.local_or_nearest(ClusterId{0}, all, is(0)), ClusterId{3});
+  EXPECT_EQ(topo.local_or_nearest(ClusterId{0}, all,
+                                  [](ClusterId c) {
+                                    return c == ClusterId{0} ||
+                                           c == ClusterId{3};
+                                  }),
+            ClusterId{1});
+  // nearest() skips `from` unless it is the only candidate left.
+  EXPECT_EQ(topo.nearest(ClusterId{0}, all, is(3)), ClusterId{1});
+  EXPECT_EQ(topo.nearest(ClusterId{0}, {ClusterId{0}, ClusterId{2}}, is(2)),
+            ClusterId{0});
+  // Everything excluded: no cluster.
+  EXPECT_FALSE(
+      topo.local_or_nearest(ClusterId{1}, {ClusterId{0}}, is(0)).valid());
+  EXPECT_FALSE(topo.nearest(ClusterId{0}, {}).valid());
+}
+
 TEST(GcpTopology, MatchesPaperMatrix) {
   const Topology topo = make_gcp_topology();
   ASSERT_EQ(topo.cluster_count(), 4u);
